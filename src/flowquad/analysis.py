@@ -26,7 +26,6 @@ class QoI:
     evaluate: callable
     sup_norm: float
     name: str = "qoi"
-    c1_norm: float = None
 
 
 def check_qoi_bound(qoi, dim, points_per_axis=33):
@@ -47,7 +46,7 @@ def make_qoi(family, dim, params=None):
         axis = int(params.get("axis", 0))
         if not 0 <= axis < dim:
             raise InvalidArgumentError(f"coordinate axis {axis} outside 0..{dim - 1}")
-        return QoI(lambda x: x[:, axis], sup_norm=1.0, name=f"coordinate[{axis}]", c1_norm=1.0)
+        return QoI(lambda x: x[:, axis], sup_norm=1.0, name=f"coordinate[{axis}]")
     if family == "product":
         return QoI(lambda x: np.prod(x, axis=1), sup_norm=1.0, name="product")
     if family == "cos_product":
@@ -133,8 +132,20 @@ def quadrature_error_measured(grid, fm, qoi, source, oracle=None, points_per_axi
     return abs(oracle - integrate_via_flow(grid, fm, qoi))
 
 
-def _model_log_density(fm, source, pts):
-    return log_pushforward_density(fm, source, pts)
+def _grid_densities(target, fm, source, points_per_axis):
+    """Gauss weights, target density and model log-density on a dense grid."""
+    if target.dim > 2:
+        raise UnsupportedDimensionError("grid TV/KL estimates are limited to dim <= 2")
+    pts, wt = _tensor_gauss(target.dim, points_per_axis)
+    return wt, target.evaluate(pts), log_pushforward_density(fm, source, pts)
+
+
+def _tv(wt, f_t, log_m):
+    return 0.5 * float(np.dot(wt, np.abs(f_t - np.exp(log_m))))
+
+
+def _kl(wt, f_t, log_m):
+    return float(np.dot(wt, f_t * (np.log(f_t) - log_m)))
 
 
 def kl_estimate(target, fm, source, mode="grid", points_per_axis=65, samples=None):
@@ -142,29 +153,25 @@ def kl_estimate(target, fm, source, mode="grid", points_per_axis=65, samples=Non
     MC mode averages over provided fresh target samples and returns a
     standard error."""
     if mode == "grid":
-        if target.dim > 2:
-            raise UnsupportedDimensionError("grid KL estimate is limited to dim <= 2")
-        pts, wt = _tensor_gauss(target.dim, points_per_axis)
-        f_t = target.evaluate(pts)
-        log_ratio = np.log(f_t) - _model_log_density(fm, source, pts)
-        return float(np.dot(wt, f_t * log_ratio)), None
+        return _kl(*_grid_densities(target, fm, source, points_per_axis)), None
     if mode == "mc":
         if samples is None:
             raise InvalidArgumentError("MC mode needs fresh target samples")
         samples = np.atleast_2d(samples)
-        vals = np.log(target.evaluate(samples)) - _model_log_density(fm, source, samples)
+        vals = np.log(target.evaluate(samples)) - log_pushforward_density(fm, source, samples)
         return float(np.mean(vals)), float(np.std(vals) / math.sqrt(len(vals)))
     raise InvalidArgumentError(f"unknown KL mode {mode!r}")
 
 
 def tv_estimate(target, fm, source, points_per_axis=65):
     """Total variation distance (half the L1 gap) on a dense grid, dim <= 2."""
-    if target.dim > 2:
-        raise UnsupportedDimensionError("grid TV estimate is limited to dim <= 2")
-    pts, wt = _tensor_gauss(target.dim, points_per_axis)
-    f_t = target.evaluate(pts)
-    f_m = np.exp(_model_log_density(fm, source, pts))
-    return 0.5 * float(np.dot(wt, np.abs(f_t - f_m)))
+    return _tv(*_grid_densities(target, fm, source, points_per_axis))
+
+
+def tv_kl_estimate(target, fm, source, points_per_axis=65):
+    """(tv_estimate, grid-mode KL) from one pushforward log-density pass."""
+    grid = _grid_densities(target, fm, source, points_per_axis)
+    return _tv(*grid), _kl(*grid)
 
 
 def pinsker_check(tv, kl, slack=5e-3):

@@ -229,8 +229,7 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     reference = an.reference_expectation(target, qoi)
     learning_available = spec.dim <= 2
     if learning_available:
-        tv = an.tv_estimate(target, fm, source)
-        kl, _ = an.kl_estimate(target, fm, source)
+        tv, kl = an.tv_kl_estimate(target, fm, source)
     else:
         tv, kl = math.nan, math.nan
 
@@ -263,7 +262,10 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
             )
         )
 
-    an.append_reports(os.path.join(out_dir, "results.jsonl"), reports)
+    results_path = os.path.join(out_dir, "results.jsonl")
+    # a rerun into the same directory replaces the results, like the CSV
+    open(results_path, "w").close()
+    an.append_reports(results_path, reports)
     an.write_convergence_csv(os.path.join(out_dir, "convergence.csv"), reports)
     print_fn(an.CSV_HEADER)
     for rep in reports:

@@ -97,28 +97,33 @@ def flow_inverse(fm, y, t_end=1.0, return_excursion=False):
 def _aug_rhs(fm, w, s):
     """Stage derivative of the backward state (position, divergence integral)."""
     t = 1.0 - s
-    if hasattr(fm.field, "value_jacobian_divergence"):
-        v, _, div = fm.field.value_jacobian_divergence(w, t)
-        return -v, div
+    if hasattr(fm.field, "forward_with_cache"):
+        v, cache = fm.field.forward_with_cache(w, t, need_tangents=True)
+        return -v, cache["div"]
     return -fm.field(w, t), fm.field.divergence(w, t)
 
 
-def log_pushforward_density(fm, source, y):
-    """log density of the flow-pushforward of `source` at y.
+def _log_density_sweep(fm, source, w, stages=None):
+    """Integrate (position, divergence integral) backward from w with RK4.
 
-    Integrates the preimage and the divergence term jointly backward with
-    the same RK4 steps; the source log-density is read at the preimage.
+    Returns the clipped preimage and the log-densities; when `stages` is a
+    list, the four stage inputs of every step are appended to it.
     """
-    w, single = _as_batch(y, fm.dim)
     w = w.copy()
     acc = np.zeros(len(w))
     h = 1.0 / fm.steps
     for n in range(fm.steps):
         s = n * h
-        k1w, k1d = _aug_rhs(fm, w, s)
-        k2w, k2d = _aug_rhs(fm, w + 0.5 * h * k1w, s + 0.5 * h)
-        k3w, k3d = _aug_rhs(fm, w + 0.5 * h * k2w, s + 0.5 * h)
-        k4w, k4d = _aug_rhs(fm, w + h * k3w, s + h)
+        u1 = w
+        k1w, k1d = _aug_rhs(fm, u1, s)
+        u2 = w + 0.5 * h * k1w
+        k2w, k2d = _aug_rhs(fm, u2, s + 0.5 * h)
+        u3 = w + 0.5 * h * k2w
+        k3w, k3d = _aug_rhs(fm, u3, s + 0.5 * h)
+        u4 = w + h * k3w
+        k4w, k4d = _aug_rhs(fm, u4, s + h)
+        if stages is not None:
+            stages.append((u1, u2, u3, u4))
         w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         acc = acc + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
         _check_finite(w, n)
@@ -130,7 +135,17 @@ def log_pushforward_density(fm, source, y):
             f"source density vanishes at preimage {z0[bad]} (sample {bad})",
             location=z0[bad],
         )
-    logp = np.log(vals) - acc
+    return z0, np.log(vals) - acc
+
+
+def log_pushforward_density(fm, source, y):
+    """log density of the flow-pushforward of `source` at y.
+
+    Integrates the preimage and the divergence term jointly backward with
+    the same RK4 steps; the source log-density is read at the preimage.
+    """
+    w, single = _as_batch(y, fm.dim)
+    logp = _log_density_sweep(fm, source, w)[1]
     return float(logp[0]) if single else logp
 
 
@@ -147,41 +162,14 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
         raise InvalidArgumentError("gradient path needs a differentiable network field")
     net = fm.field
     w, single = _as_batch(y, fm.dim)
-    w = w.copy()
     batch = len(w)
     if sample_weights is None:
         sample_weights = np.ones(batch)
     c = np.asarray(sample_weights, dtype=float).reshape(batch, 1)
 
     h = 1.0 / fm.steps
-    acc = np.zeros(batch)
     stages = []  # per step: the four stage inputs
-    traj = []
-    for n in range(fm.steps):
-        s = n * h
-        u1 = w
-        k1w, k1d = _aug_rhs(fm, u1, s)
-        u2 = w + 0.5 * h * k1w
-        k2w, k2d = _aug_rhs(fm, u2, s + 0.5 * h)
-        u3 = w + 0.5 * h * k2w
-        k3w, k3d = _aug_rhs(fm, u3, s + 0.5 * h)
-        u4 = w + h * k3w
-        k4w, k4d = _aug_rhs(fm, u4, s + h)
-        stages.append((u1, u2, u3, u4))
-        traj.append(s)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        acc = acc + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        _check_finite(w, n)
-
-    z0 = np.clip(w, 0.0, 1.0)
-    vals = source.evaluate(z0)
-    if np.any(vals <= 0.0):
-        bad = int(np.argmax(vals <= 0.0))
-        raise DomainError(
-            f"source density vanishes at preimage {z0[bad]} (sample {bad})",
-            location=z0[bad],
-        )
-    logp = np.log(vals) - acc
+    z0, logp = _log_density_sweep(fm, source, w, stages)
 
     # reverse sweep: lam tracks the cotangent on the running position,
     # the divergence integral contributes a constant -c per sample
@@ -191,11 +179,10 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
 
     def stage_vjp(u, s_stage, alpha, delta):
         _, cache = net.forward_with_cache(u, 1.0 - s_stage, need_tangents=True)
-        gtheta, gx = net.vjp(cache, lam_v=-alpha, lam_div=delta)
-        return gtheta, gx
+        return net.vjp(cache, lam_v=-alpha, lam_div=delta)
 
     for n in range(fm.steps - 1, -1, -1):
-        s = traj[n]
+        s = n * h
         u1, u2, u3, u4 = stages[n]
         g4, gu4 = stage_vjp(u4, s + h, (h / 6.0) * lam, (h / 6.0) * lam_d)
         g3, gu3 = stage_vjp(u3, s + 0.5 * h, (h / 3.0) * lam + h * gu4, (h / 3.0) * lam_d)

@@ -6,10 +6,16 @@ mask eta(x) = x*(1-x) so that flows cannot leave the unit cube.
 
 Differentiation is hand-rolled over the fixed layer graph:
   * reverse mode for gradients with respect to parameters and inputs,
-  * forward mode (one tangent column per spatial axis) for the exact
-    Jacobian trace needed by the divergence,
+  * forward mode (one tangent per spatial axis) for the exact Jacobian
+    trace needed by the divergence,
   * a joint reverse pass through both chains for gradients of the
     divergence itself (second-order terms via sigma'').
+
+The d tangents of B points are stacked as one (d*B, W) block per layer
+(row k*B + b is tangent k of sample b) that goes through the same weights
+as the primal, so every tangent and divergence-VJP product is one 2-D
+GEMM.  Only value_jacobian_divergence assembles the d x d Jacobian.  The
+adjoint recomputes each stage's forward cache instead of keeping it.
 
 Also houses the exact B-spline / product-network constructions and the
 closed-form capacity and Lipschitz constant calculators.
@@ -201,14 +207,12 @@ class MlpVectorField:
 
     def _forward_cached(self, x, t, need_tangents):
         x2, u = self._stack_input(x, t)
-        d = self.dim
+        d, batch = self.dim, len(u)
         zs = [u]
         avals = []
-        tangents = None
         if need_tangents:
-            t0 = np.zeros((len(u), u.shape[1], d))
-            t0[:, :d, :] = np.eye(d)
-            tz = [t0]
+            # stacked (d*B, width) blocks; the input tangents are unit vectors
+            tz = [np.repeat(np.eye(u.shape[1])[:d], batch, axis=0)]
             ta = []
         z = u
         for li, (w, b) in enumerate(self.layers):
@@ -220,13 +224,14 @@ class MlpVectorField:
                 )
             avals.append(a)
             if need_tangents:
-                at = np.matmul(w, tz[-1])
+                at = tz[-1] @ w.T
                 ta.append(at)
             if li < len(self.layers) - 1:
                 z = self._sigma(a)
                 zs.append(z)
                 if need_tangents:
-                    tz.append(self._sigma_d1(a)[:, :, None] * at)
+                    sp = self._sigma_d1(a)
+                    tz.append((sp * at.reshape(d, batch, -1)).reshape(at.shape))
         raw = avals[-1]
         eta = x2 * (1.0 - x2)
         etap = 1.0 - 2.0 * x2
@@ -239,25 +244,27 @@ class MlpVectorField:
         if need_tangents:
             cache["tz"] = tz
             cache["ta"] = ta
-            j_raw = ta[-1]
-            if self.mask_enabled:
-                jac = eta[:, :, None] * j_raw
-                idx = np.arange(d)
-                jac[:, idx, idx] += etap * raw
-            else:
-                jac = j_raw
-            cache["j_raw"] = j_raw
-            cache["jac"] = jac
-            cache["div"] = np.trace(jac, axis1=1, axis2=2)
+            # jdiag[b, i] = d raw_i / d x_i, read from row i*B + b
+            jdiag = ta[-1].reshape(d, batch, d).diagonal(axis1=0, axis2=2)
+            cache["jdiag"] = jdiag
+            terms = eta * jdiag + etap * raw if self.mask_enabled else jdiag
+            cache["div"] = np.sum(terms, axis=1)
         return v, cache
 
     def value_jacobian_divergence(self, x, t):
-        """Field value, spatial Jacobian and its exact trace, batched."""
+        """Field value, spatial Jacobian jac[b, i, k] = dv_i/dx_k and its
+        exact trace, batched."""
         v, cache = self._forward_cached(x, t, need_tangents=True)
-        return v, cache["jac"], cache["div"]
+        d, raw = self.dim, cache["raw"]
+        jac = cache["ta"][-1].reshape(d, len(raw), d).transpose(1, 2, 0)
+        if self.mask_enabled:
+            jac = cache["eta"][:, :, None] * jac
+            idx = np.arange(d)
+            jac[:, idx, idx] += cache["etap"] * raw
+        return v, jac, cache["div"]
 
     def divergence(self, x, t):
-        """Exact spatial divergence via d forward-mode passes."""
+        """Exact spatial divergence via stacked forward-mode tangents."""
         single = np.ndim(x) == 1
         div = self._forward_cached(x, t, need_tangents=True)[1]["div"]
         return float(div[0]) if single else div
@@ -286,7 +293,7 @@ class MlpVectorField:
             lam_div = np.asarray(lam_div, dtype=float).reshape(batch, 1)
             if "ta" not in cache:
                 raise InvalidArgumentError("divergence VJP needs a tangent-bearing cache")
-            tz, ta, j_raw = cache["tz"], cache["ta"], cache["j_raw"]
+            tz, ta = cache["tz"], cache["ta"]
 
         if self.mask_enabled:
             r_a = lam_v * eta
@@ -295,9 +302,12 @@ class MlpVectorField:
         else:
             r_a = lam_v.copy()
         if with_div:
-            r_t = np.zeros((batch, d, d))
+            # cotangent of the stacked raw-output tangents: only the
+            # diagonal entries (row i*B + b, column i) enter the trace
+            r_t = np.zeros((d, batch, d))
             idx = np.arange(d)
-            r_t[:, idx, idx] = lam_div * (eta if self.mask_enabled else 1.0)
+            r_t[idx, :, idx] = (lam_div * (eta if self.mask_enabled else 1.0)).T
+            r_t = r_t.reshape(d * batch, d)
 
         gtheta = np.zeros_like(self._theta)
         o_end = len(self._theta)
@@ -309,7 +319,7 @@ class MlpVectorField:
             gw = r_a.T @ z
             gb = r_a.sum(axis=0)
             if with_div:
-                gw = gw + np.einsum("bod,bid->oi", r_t, tz[li])
+                gw += r_t.T @ tz[li]
             o_b = o_end - dout
             o_w = o_b - din * dout
             gtheta[o_w:o_b] = gw.ravel()
@@ -318,22 +328,22 @@ class MlpVectorField:
 
             r_z = r_a @ w
             if with_div:
-                r_tz = np.matmul(w.T, r_t)
+                r_tz = (r_t @ w).reshape(d, batch, din)
             if li > 0:
                 a_prev = avals[li - 1]
                 sp = self._sigma_d1(a_prev)
                 r_a = sp * r_z
                 if with_div:
                     spp = self._sigma_d2(a_prev)
-                    r_a = r_a + spp * np.sum(r_tz * ta[li - 1], axis=2)
-                    r_t = sp[:, :, None] * r_tz
+                    r_a += spp * (r_tz * ta[li - 1].reshape(d, batch, din)).sum(axis=0)
+                    r_t = (sp * r_tz).reshape(d * batch, din)
             else:
                 gx = r_z[:, :d].copy()
 
         if self.mask_enabled:
             gx += lam_v * raw * etap
             if with_div:
-                gx += lam_div * (etap * np.einsum("bii->bi", j_raw) - 2.0 * raw)
+                gx += lam_div * (etap * cache["jdiag"] - 2.0 * raw)
         return gtheta, gx
 
 

@@ -19,9 +19,6 @@ import numpy as np
 
 from .errors import EvaluationError, InvalidArgumentError, InvalidWeightError
 
-# Nodes with accumulated |weight| below this are dropped from sparse grids.
-ZERO_WEIGHT_TOL = 1e-15
-
 _GAUSS_PANEL_ORDER = 8
 
 
@@ -298,17 +295,15 @@ def _node_ids(m):
     return ids
 
 
-def smolyak(dim, level, weights=None, domain=(0.0, 1.0), drop_zero_weights=False):
+def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     """Assemble the sparse grid of the given dimension and sparsity level.
 
     `weights` is None (uniform), a single density callable used on every
     axis, or a sequence of d per-axis density callables.  The same rule
     family per axis is reused at every level, preserving nesting.
 
-    All deduplicated lattice nodes are kept by default so the node count
-    equals the set union of the contributing tensor grids; pass
-    drop_zero_weights=True to discard nodes whose accumulated weight
-    cancelled to below ZERO_WEIGHT_TOL.
+    All deduplicated lattice nodes are kept, so the node count equals the
+    set union of the contributing tensor grids.
     """
     a, b = _check_domain(domain)
     if dim < 1:
@@ -348,14 +343,10 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0), drop_zero_weights=False
                     w *= axis_weights[i][j]
                 accum[key] = accum.get(key, 0.0) + w
 
-    if drop_zero_weights:
-        kept = [(key, w) for key, w in accum.items() if abs(w) >= ZERO_WEIGHT_TOL]
-    else:
-        kept = list(accum.items())
     nodes = np.array(
-        [[_affine_to((a, b), _cos_pi_frac(num, den)) for num, den in key] for key, _ in kept]
-    ).reshape(len(kept), dim)
-    wvec = np.array([w for _, w in kept])
+        [[_affine_to((a, b), _cos_pi_frac(num, den)) for num, den in key] for key in accum]
+    ).reshape(len(accum), dim)
+    wvec = np.array(list(accum.values()))
     order = np.lexsort(nodes.T[::-1])
     nodes = nodes[order]
     wvec = wvec[order]

@@ -199,6 +199,23 @@ def test_kl_mc_mode_matches_grid():
     assert abs(kl_mc - kl_grid) < 4 * se + 1e-3
 
 
+def test_shared_tv_kl_pass_equals_standalone_estimates():
+    src = dn.uniform_density(2)
+    target = dn.product_density([dn.linear_tilt(0.0, 2.0), dn.cosine_bump(0.5)])
+    fm = random_net_flow(dim=2, seed=5, steps=8)
+    tv, kl = an.tv_kl_estimate(target, fm, src, points_per_axis=17)
+    assert tv == an.tv_estimate(target, fm, src, points_per_axis=17)
+    assert kl == an.kl_estimate(target, fm, src, points_per_axis=17)[0]
+
+
+def test_tv_kl_estimates_reject_dim_three():
+    src = dn.uniform_density(3)
+    fm = zero_flow(3)
+    for estimate in (an.tv_estimate, an.tv_kl_estimate, an.kl_estimate):
+        with pytest.raises(UnsupportedDimensionError):
+            estimate(src, fm, src)
+
+
 def test_tv_bounds_and_pinsker():
     src = dn.uniform_density(1)
     target = tilt_target(1)

@@ -128,6 +128,18 @@ def test_cmd_run_deterministic(tmp_path):
     assert jl1 == jl2
 
 
+def test_cmd_run_rerun_into_same_directory_overwrites(tmp_path):
+    spec = cli.parse_spec(spec_payload())
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    sink = lambda *_: None
+    cli.cmd_run(spec, str(once), print_fn=sink)
+    cli.cmd_run(spec, str(twice), print_fn=sink)
+    cli.cmd_run(spec, str(twice), print_fn=sink)
+    assert sorted(os.listdir(once)) == sorted(os.listdir(twice))
+    for name in os.listdir(once):
+        assert (once / name).read_bytes() == (twice / name).read_bytes(), name
+
+
 def test_cmd_run_reports_have_expected_shape(tmp_path):
     spec = cli.parse_spec(spec_payload())
     reports = cli.cmd_run(spec, str(tmp_path / "out"), print_fn=lambda *_: None)

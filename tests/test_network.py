@@ -260,6 +260,56 @@ def test_divergence_gradient_matches_fd():
         assert abs(gx_an[0, k] - fd) < 2e-5
 
 
+@pytest.mark.parametrize("mask", [True, False])
+@pytest.mark.parametrize("power", [2, 3])
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_joint_vjp_matches_fd_on_batches(dim, depth, power, mask):
+    # B > 1 with both cotangents: a sample/axis mix-up in the stacked
+    # (d*B, W) tangent rows shows in gtheta and in gx
+    batch, t = 5, 0.35
+    arch = hypothesis_architecture(dim, depth, 6, activation_power=power)
+    seed = 100 * dim + 10 * depth + power + int(mask)
+    net = MlpVectorField(arch, mask_enabled=mask, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    x = rng.uniform(0.1, 0.9, size=(batch, dim))
+    lam_v = rng.normal(size=(batch, dim))
+    lam_div = rng.normal(size=batch)
+    _, cache = net.forward_with_cache(x, t, need_tangents=True)
+    g_an, gx_an = net.vjp(cache, lam_v=lam_v, lam_div=lam_div)
+
+    def loss(probe, xs):
+        v, c = probe.forward_with_cache(xs, t, need_tangents=True)
+        return float(np.sum(lam_v * v) + np.sum(lam_div * c["div"]))
+
+    g_fd = fd_gradient(
+        lambda theta: loss(MlpVectorField(arch, theta=theta, mask_enabled=mask), x),
+        net.theta.copy(),
+    )
+    assert np.max(np.abs(g_an - g_fd)) / max(np.max(np.abs(g_fd)), 1e-10) < 1e-5
+
+    gx_fd = fd_gradient(lambda flat: loss(net, flat.reshape(batch, dim)), x.ravel())
+    np.testing.assert_allclose(gx_an.ravel(), gx_fd, rtol=0, atol=1e-5 * np.max(np.abs(gx_fd)))
+
+
+def test_value_jacobian_divergence_matches_fd_on_batches():
+    batch, dim, t, h = 6, 3, 0.6, 1e-6
+    net = small_net(dim, 2, 8, seed=19)
+    x = np.random.default_rng(20).uniform(0.1, 0.9, size=(batch, dim))
+    v, jac, div = net.value_jacobian_divergence(x, t)
+    np.testing.assert_array_equal(v, net.forward(x, t))
+    fd = np.empty((batch, dim, dim))
+    for k in range(dim):
+        xp = x.copy()
+        xp[:, k] += h
+        xm = x.copy()
+        xm[:, k] -= h
+        fd[:, :, k] = (net.forward(xp, t) - net.forward(xm, t)) / (2 * h)
+    np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(div, np.trace(jac, axis1=1, axis2=2), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(div, net.divergence(x, t), rtol=0, atol=0)
+
+
 def test_smoothness_across_kink():
     # ReLU^s is C^{s-1}: the (s-1)-th difference quotient has an O(h) jump
     for s in (2, 3):
