@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedDimensionError
 from .flow import flow_forward, log_pushforward_density
-from .quadrature import kahan_sum
+from .quadrature import kahan_sum, lattice, tensor_gauss
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class QoI:
 
 def check_qoi_bound(qoi, dim, points_per_axis=33):
     """Probe |qoi| <= sup_norm on a tensor lattice."""
-    axes = [np.linspace(0, 1, points_per_axis)] * dim
-    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    pts = lattice(np.linspace(0, 1, points_per_axis), dim)
     worst = float(np.max(np.abs(qoi.evaluate(pts))))
     if worst > qoi.sup_norm + 1e-9:
         raise InvalidArgumentError(
@@ -69,23 +68,11 @@ def make_qoi(family, dim, params=None):
 # ---------------------------------------------------------------------------
 
 
-def _tensor_gauss(dim, points_per_axis):
-    gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-    mesh = np.meshgrid(*([gx] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    wt = gw
-    for _ in range(dim - 1):
-        wt = np.multiply.outer(wt, gw)
-    return pts, wt.ravel()
-
-
 def reference_expectation(target, qoi, points_per_axis=129):
     """Dense-grid value of E_target[qoi] (dim <= 3)."""
     if target.dim > 3:
         raise UnsupportedDimensionError("dense reference grid is limited to dim <= 3")
-    pts, wt = _tensor_gauss(target.dim, points_per_axis)
+    pts, wt = tensor_gauss(target.dim, points_per_axis)
     return float(np.dot(wt, qoi.evaluate(pts) * target.evaluate(pts)))
 
 
@@ -93,7 +80,7 @@ def pullback_integral_oracle(fm, qoi, source, points_per_axis=129):
     """Dense-grid value of the integral of qoi(flow(x)) against the source."""
     if fm.dim > 3:
         raise UnsupportedDimensionError("dense reference grid is limited to dim <= 3")
-    pts, wt = _tensor_gauss(fm.dim, points_per_axis)
+    pts, wt = tensor_gauss(fm.dim, points_per_axis)
     mapped = flow_forward(fm, pts)
     return float(np.dot(wt, qoi.evaluate(mapped) * source.evaluate(pts)))
 
@@ -103,20 +90,27 @@ def pullback_integral_oracle(fm, qoi, source, points_per_axis=129):
 # ---------------------------------------------------------------------------
 
 
+def _push(fm, nodes, threads):
+    """flow_forward of the nodes, over contiguous blocks when threads > 1."""
+    if threads > 1 and len(nodes) > 1:
+        blocks = np.array_split(np.arange(len(nodes)), min(threads, len(nodes)))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda idx: flow_forward(fm, nodes[idx]), blocks))
+        return np.concatenate(parts, axis=0)
+    return flow_forward(fm, nodes)
+
+
 def integrate_via_flow(grid, fm, qoi, threads=1):
     """Sparse-grid estimate sum_j w_j qoi(flow(xi_j)).
 
-    Flow evaluation fans out over contiguous node blocks when threads > 1;
-    the weighted reduction is compensated and fixed-order either way.
+    Node images come from `fm.images`: only nodes this flow map has not
+    pushed under its current parameters are integrated, so the nested
+    levels of a sweep and further QoIs on the same grid reuse earlier
+    images.  Flow evaluation fans out over contiguous node blocks when
+    threads > 1; the weighted reduction is compensated and fixed-order
+    either way.
     """
-    nodes = grid.nodes
-    if threads > 1 and len(nodes) > 1:
-        blocks = np.array_split(np.arange(len(nodes)), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda idx: flow_forward(fm, nodes[idx]), blocks))
-        mapped = np.concatenate(parts, axis=0)
-    else:
-        mapped = flow_forward(fm, nodes)
+    mapped = fm.images(grid.nodes, lambda rows: _push(fm, rows, threads))
     vals = qoi.evaluate(mapped)
     return kahan_sum(grid.weights * vals)
 
@@ -136,7 +130,7 @@ def _grid_densities(target, fm, source, points_per_axis):
     """Gauss weights, target density and model log-density on a dense grid."""
     if target.dim > 2:
         raise UnsupportedDimensionError("grid TV/KL estimates are limited to dim <= 2")
-    pts, wt = _tensor_gauss(target.dim, points_per_axis)
+    pts, wt = tensor_gauss(target.dim, points_per_axis)
     return wt, target.evaluate(pts), log_pushforward_density(fm, source, pts)
 
 

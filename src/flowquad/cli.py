@@ -13,6 +13,7 @@ byte is determined by (spec, seed).
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -30,6 +31,7 @@ from .errors import (
     ConfigurationError,
     FlowQuadError,
     IntegrationFailureError,
+    InvalidArgumentError,
     TrainingFailureError,
 )
 from .flow import FlowMap
@@ -46,12 +48,22 @@ EXIT_INTEGRATION = 4
 EVAL_FLOW_STEPS = 64
 
 _DENSITY_KEYS = {"family", "params", "per_axis"}
-_TRAINING_KEYS = {
-    "sample_size", "batch_size", "max_epochs", "learning_rate", "lr_decay",
-    "momentum", "optimizer", "hidden_depth", "width", "adaptive", "beta",
-    "c_d", "integrator_steps", "holdout_fraction",
+# every training key with the JSON type its value must have
+_TRAINING_TYPES = {
+    "sample_size": int, "batch_size": int, "max_epochs": int, "learning_rate": float,
+    "lr_decay": float, "momentum": float, "optimizer": str, "hidden_depth": int,
+    "width": int, "adaptive": bool, "beta": float, "c_d": float,
+    "integrator_steps": int, "holdout_fraction": float,
+}
+# smallest allowed value of the integer training keys; width is checked
+# against the dimension
+_TRAINING_MIN = {
+    "sample_size": 1, "batch_size": 1, "max_epochs": 0, "hidden_depth": 1,
+    "integrator_steps": 1,
 }
 _TOP_KEYS = {"name", "dim", "seed", "source", "target", "qoi", "grid", "training", "outputs"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", dict: "an object", list: "a list"}
 
 
 @dataclass(frozen=True)
@@ -83,55 +95,130 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+def _has_type(value, kind):
+    # JSON true/false are Python bools, which are also ints
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind is float:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    return isinstance(value, kind)
+
+
+def _typed(value, kind, where, minimum=None):
+    """value, after checking its type and lower bound."""
+    if not _has_type(value, kind):
+        raise ConfigurationError(
+            f"'{where}' must be {_TYPE_NAMES[kind]}, got {value!r}", field=where
+        )
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"'{where}' must be >= {minimum}, got {value}", field=where)
+    return value
+
+
+def _check_params(spec, path):
+    """The optional 'params' object of a family spec: numbers only."""
+    params = _typed(spec.get("params", {}), dict, f"{path}.params")
+    for key, value in params.items():
+        _typed(value, float, f"{path}.params.{key}")
+    return params
+
+
 def _check_density_spec(spec, dim, path):
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"'{path}' must be an object", field=path)
+    _typed(spec, dict, path)
     _reject_unknown(spec, _DENSITY_KEYS, path)
-    if "per_axis" in spec:
-        axes = spec["per_axis"]
-        if len(axes) != dim:
-            raise ConfigurationError(
-                f"'{path}.per_axis' needs {dim} entries, got {len(axes)}",
-                field=f"{path}.per_axis",
-            )
-        for i, ax in enumerate(axes):
-            _check_density_spec(ax, 1, f"{path}.per_axis[{i}]")
-    else:
-        _require(spec, "family", path)
+    if "per_axis" not in spec:
+        _check_family(spec, path)
+        return
+    axes = _typed(spec["per_axis"], list, f"{path}.per_axis")
+    if len(axes) != dim:
+        raise ConfigurationError(
+            f"'{path}.per_axis' needs {dim} entries, got {len(axes)}",
+            field=f"{path}.per_axis",
+        )
+    for i, ax in enumerate(axes):
+        where = f"{path}.per_axis[{i}]"
+        _typed(ax, dict, where)
+        _reject_unknown(ax, {"family", "params"}, where)
+        _check_family(ax, where)
+
+
+def _check_family(spec, path):
+    """A univariate density spec: a known family with valid parameters."""
+    family = _typed(_require(spec, "family", path), str, f"{path}.family")
+    try:
+        make_density_1d(family, _check_params(spec, path))
+    except InvalidArgumentError as exc:
+        raise ConfigurationError(f"'{path}': {exc}", field=path) from None
+
+
+def _check_name(name):
+    # the name becomes part of the checkpoint file name inside the output
+    # directory, so it must be one plain path component
+    _typed(name, str, "name")
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigurationError(
+            f"'name' must be a plain file name without path separators, got {name!r}",
+            field="name",
+        )
+    return name
+
+
+def _check_training(training, dim, seed):
+    _typed(training, dict, "training")
+    _reject_unknown(training, _TRAINING_TYPES, "training")
+    for key, value in training.items():
+        minimum = dim + 1 if key == "width" else _TRAINING_MIN.get(key)
+        _typed(value, _TRAINING_TYPES[key], f"training.{key}", minimum)
+    if not 0.0 <= training.get("holdout_fraction", 0.0) < 1.0:
+        raise ConfigurationError(
+            "'training.holdout_fraction' must lie in [0, 1)", field="training.holdout_fraction"
+        )
+    try:
+        _train_config(training, seed)
+    except InvalidArgumentError as exc:
+        raise ConfigurationError(f"'training': {exc}", field="training") from None
+    return training
 
 
 def parse_spec(payload):
-    """Validate a spec mapping (or JSON text) into an ExperimentSpec."""
+    """Validate a spec mapping (or JSON text) into an ExperimentSpec.
+
+    Every value is type- and range-checked here, before any work starts.
+    """
     if isinstance(payload, str):
         try:
             payload = json.loads(payload)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"spec is not valid JSON: {exc}", field="<root>")
+    _typed(payload, dict, "<root>")
     _reject_unknown(payload, _TOP_KEYS, "")
-    name = _require(payload, "name", "")
-    dim = _require(payload, "dim", "")
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigurationError("'dim' must be a positive integer", field="dim")
-    seed = payload.get("seed", 0)
+    name = _check_name(_require(payload, "name", ""))
+    dim = _typed(_require(payload, "dim", ""), int, "dim", 1)
+    seed = _typed(payload.get("seed", 0), int, "seed", 0)
     source = _require(payload, "source", "")
     target = _require(payload, "target", "")
-    qoi = _require(payload, "qoi", "")
-    grid = _require(payload, "grid", "")
+    qoi = _typed(_require(payload, "qoi", ""), dict, "qoi")
+    grid = _typed(_require(payload, "grid", ""), dict, "grid")
     _check_density_spec(source, dim, "source")
     _check_density_spec(target, dim, "target")
-    if not isinstance(qoi, dict) or "family" not in qoi:
-        raise ConfigurationError("'qoi' needs a 'family'", field="qoi.family")
     _reject_unknown(qoi, {"family", "params"}, "qoi")
+    qoi_family = _typed(_require(qoi, "family", "qoi"), str, "qoi.family")
+    try:
+        an.make_qoi(qoi_family, dim, _check_params(qoi, "qoi"))
+    except InvalidArgumentError as exc:
+        raise ConfigurationError(f"'qoi': {exc}", field="qoi") from None
     _reject_unknown(grid, {"levels"}, "grid")
-    levels = _require(grid, "levels", "grid")
-    if not levels or any((not isinstance(l, int)) or l < 0 for l in levels):
-        raise ConfigurationError(
-            "'grid.levels' must be a non-empty list of levels >= 0", field="grid.levels"
-        )
-    training = payload.get("training", {})
-    _reject_unknown(training, _TRAINING_KEYS, "training")
-    outputs = payload.get("outputs", {})
+    levels = _typed(_require(grid, "levels", "grid"), list, "grid.levels")
+    if not levels:
+        raise ConfigurationError("'grid.levels' must be a non-empty list", field="grid.levels")
+    for level in levels:
+        _typed(level, int, "grid.levels", 0)
+    training = _check_training(payload.get("training", {}), dim, seed)
+    outputs = _typed(payload.get("outputs", {}), dict, "outputs")
     _reject_unknown(outputs, {"dir"}, "outputs")
+    if "dir" in outputs:
+        _typed(outputs["dir"], str, "outputs.dir")
     return ExperimentSpec(
         name=name, dim=dim, seed=seed, source=dict(source), target=dict(target),
         qoi=dict(qoi), grid=dict(grid), training=dict(training), outputs=dict(outputs),
@@ -171,6 +258,24 @@ def _density_from_spec(spec, dim):
     return product_density(factors)
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path):
+    """Yield a fresh temporary path beside `path`; when the block succeeds
+    the temporary file replaces `path` in one rename, otherwise it is
+    removed and `path` keeps its previous bytes."""
+    tmp = os.path.join(
+        os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp"
+    )
+    # exclusive creation: the file is new and empty, with the mode open() gives
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def _ensure_outdir(path):
     try:
         os.makedirs(path, exist_ok=True)
@@ -193,15 +298,16 @@ def cmd_grid(spec, out_dir, print_fn=print):
     for level in spec.grid["levels"]:
         grid = quad.smolyak(spec.dim, level, weights=weights)
         path = os.path.join(out_dir, f"grid_d{spec.dim}_l{level}.txt")
-        quad.write_grid(grid, path)
+        with _replaced_on_success(path) as tmp:
+            quad.write_grid(grid, tmp)
         files.append(path)
         approx = quad.node_count_asymptotic(spec.dim, level)
         print_fn(f"{level:>5} {grid.node_count:>8} {approx:>12.4g} {path}")
     return files
 
 
-def _train_config_from_spec(spec, seed):
-    training = dict(spec.training)
+def _train_config(training, seed):
+    training = dict(training)
     training.setdefault("sample_size", 1000)
     if "hidden_depth" not in training and not training.get("adaptive"):
         training.setdefault("adaptive", True)
@@ -218,12 +324,13 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     qoi = an.make_qoi(spec.qoi["family"], spec.dim, spec.qoi.get("params"))
     transport = KrTransport(source, target)
 
-    config = _train_config_from_spec(spec, seed)
+    config = _train_config(spec.training, seed)
     samples = transport.kr_map_batch(rng.uniform(size=(config.sample_size, spec.dim)))
 
     result = train_erm(config, samples, source)
     net = MlpVectorField(result.architecture, theta=result.theta_hat)
-    save_checkpoint(net, os.path.join(out_dir, f"{spec.name}_seed{seed}.ckpt"))
+    with _replaced_on_success(os.path.join(out_dir, f"{spec.name}_seed{seed}.ckpt")) as tmp:
+        save_checkpoint(net, tmp)
     fm = FlowMap(net, dim=spec.dim, steps=EVAL_FLOW_STEPS)
 
     reference = an.reference_expectation(target, qoi)
@@ -262,55 +369,92 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
             )
         )
 
-    results_path = os.path.join(out_dir, "results.jsonl")
     # a rerun into the same directory replaces the results, like the CSV
-    open(results_path, "w").close()
-    an.append_reports(results_path, reports)
-    an.write_convergence_csv(os.path.join(out_dir, "convergence.csv"), reports)
+    with _replaced_on_success(os.path.join(out_dir, "results.jsonl")) as tmp:
+        an.append_reports(tmp, reports)
+    with _replaced_on_success(os.path.join(out_dir, "convergence.csv")) as tmp:
+        an.write_convergence_csv(tmp, reports)
     print_fn(an.CSV_HEADER)
     for rep in reports:
         print_fn(rep.csv_row())
     return reports
 
 
+# calculator parameters: name -> default (None: required)
+_CALC_PARAMS = {
+    "constants": {"L": None, "W": None, "d": None, "c_d": 1.0, "c_dkl": 1.0},
+    "threshold": {"epsilon": None, "delta": None, "beta": None, "qoi_sup": 1.0, "c": 1.0},
+    "schedule": {"n": None, "beta": None, "c_d": 1.0, "d": 1},
+}
+
+
+def _calc_values(kind, params):
+    """Calculator parameters as finite floats, defaults filled in."""
+    if kind not in _CALC_PARAMS:
+        raise ConfigurationError(f"unknown calculator '{kind}'", field="calc.kind")
+    _reject_unknown(params, _CALC_PARAMS[kind], f"calc.{kind}")
+    values = {}
+    for key, default in _CALC_PARAMS[kind].items():
+        if key not in params:
+            if default is None:
+                raise ConfigurationError(f"calc {kind} needs {key}=<value>", field=key)
+            values[key] = default
+            continue
+        try:
+            values[key] = float(params[key])
+        except ValueError:
+            values[key] = math.nan
+        if not math.isfinite(values[key]):
+            raise ConfigurationError(
+                f"'{key}' must be a finite number, got {params[key]!r}", field=key
+            )
+    return values
+
+
+def _whole(values, key):
+    if values[key] != int(values[key]):
+        raise ConfigurationError(f"'{key}' must be an integer, got {values[key]}", field=key)
+    return int(values[key])
+
+
 def cmd_calc(kind, params, print_fn=print):
-    if kind == "constants":
-        got = capacity_constants(
-            int(params["L"]), int(params["W"]), int(params["d"]),
-            c_d=float(params.get("c_d", 1.0)), c_dkl=float(params.get("c_dkl", 1.0)),
-        )
-        print_fn(f"log Lip0        = {mp.nstr(got.log_lip0, 12)}")
-        print_fn(f"log Lip1        = {mp.nstr(got.log_lip1, 12)}")
-        print_fn(f"log C           = {mp.nstr(got.log_c, 12)}")
-        print_fn(f"log Lbar bound  = {mp.nstr(got.log_lbar_bound, 12)}")
-        print_fn(f"log D bound     = {mp.nstr(got.log_d_bound, 12)}")
-        if got.degenerate:
-            print_fn("note: depth 1 evaluates the inner constant at its degenerate value")
-        return got
-    if kind == "threshold":
-        got = sample_threshold(
-            float(params["epsilon"]), float(params["delta"]), float(params["beta"]),
-            float(params.get("qoi_sup", 1.0)), c_const=float(params.get("c", 1.0)),
-        )
-        value = got.value if got.value is not None else "beyond integer range"
-        print_fn(f"log10 n >= {got.log10:.6g}   (n >= {value})")
-        return got
-    if kind == "schedule":
-        got = adaptive_architecture(
-            int(float(params["n"])), float(params["beta"]),
-            c_d=float(params.get("c_d", 1.0)), dim=int(params.get("d", 1)),
-        )
-        print_fn(f"width W      = {got.width}   (raw {got.raw_width:.6g})")
-        print_fn(f"depth L      = {got.depth}   (raw {got.raw_depth:.6g})")
-        print_fn(f"resolution K = {got.resolution}   (raw {got.raw_resolution:.6g})")
-        if got.clamped:
-            print_fn("note: clamped to the floor value 1 at this sample size")
-        return got
-    raise ConfigurationError(f"unknown calculator '{kind}'", field="calc.kind")
+    v = _calc_values(kind, params)
+    try:
+        if kind == "constants":
+            got = capacity_constants(
+                _whole(v, "L"), _whole(v, "W"), _whole(v, "d"), c_d=v["c_d"], c_dkl=v["c_dkl"]
+            )
+            print_fn(f"log Lip0        = {mp.nstr(got.log_lip0, 12)}")
+            print_fn(f"log Lip1        = {mp.nstr(got.log_lip1, 12)}")
+            print_fn(f"log C           = {mp.nstr(got.log_c, 12)}")
+            print_fn(f"log Lbar bound  = {mp.nstr(got.log_lbar_bound, 12)}")
+            print_fn(f"log D bound     = {mp.nstr(got.log_d_bound, 12)}")
+            if got.degenerate:
+                print_fn("note: depth 1 evaluates the inner constant at its degenerate value")
+            return got
+        if kind == "threshold":
+            got = sample_threshold(
+                v["epsilon"], v["delta"], v["beta"], v["qoi_sup"], c_const=v["c"]
+            )
+            value = got.value if got.value is not None else "beyond integer range"
+            print_fn(f"log10 n >= {got.log10:.6g}   (n >= {value})")
+            return got
+        got = adaptive_architecture(int(v["n"]), v["beta"], c_d=v["c_d"], dim=_whole(v, "d"))
+    except InvalidArgumentError as exc:
+        raise ConfigurationError(f"calc {kind}: {exc}", field=f"calc.{kind}") from None
+    print_fn(f"width W      = {got.width}   (raw {got.raw_width:.6g})")
+    print_fn(f"depth L      = {got.depth}   (raw {got.raw_depth:.6g})")
+    print_fn(f"resolution K = {got.resolution}   (raw {got.raw_resolution:.6g})")
+    if got.clamped:
+        print_fn("note: clamped to the floor value 1 at this sample size")
+    return got
 
 
 def cmd_report(results_path, csv_path=None, print_fn=print):
-    reports = an.read_reports(results_path)
+    try:
+        reports = an.read_reports(results_path)
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, wrong keys
+        raise ConfigurationError(f"cannot read results file: {exc}", field="--results")
     print_fn(f"{'n':>8} {'level':>5} {'nodes':>7} {'total':>12} {'quad':>12} "
              f"{'tv':>10} {'kl':>10} {'seed':>6}")
     for rep in reports:
@@ -321,7 +465,8 @@ def cmd_report(results_path, csv_path=None, print_fn=print):
             f"{rep.seed:>6}"
         )
     if csv_path:
-        an.write_convergence_csv(csv_path, reports)
+        with _replaced_on_success(csv_path) as tmp:
+            an.write_convergence_csv(tmp, reports)
     return reports
 
 
@@ -331,10 +476,19 @@ def cmd_report(results_path, csv_path=None, print_fn=print):
 
 
 def _parse_levels(text):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            levels = list(range(int(lo), int(hi) + 1))
+        else:
+            levels = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"cannot parse --levels {text!r}", field="--levels") from None
+    if not levels or min(levels) < 0:
+        raise ConfigurationError(
+            f"--levels {text!r} must name at least one level >= 0", field="--levels"
+        )
+    return levels
 
 
 def _parse_kv(pairs):
@@ -347,12 +501,24 @@ def _parse_kv(pairs):
     return out
 
 
+def _thread_count(text):
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count (--threads or FLOWQUAD_THREADS) must be a positive "
+            f"integer, got {text!r}"
+        )
+    return count
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="flowquad",
         description="sparse grid integration of learned transport flows",
     )
-    default_threads = int(os.environ.get("FLOWQUAD_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_grid = sub.add_parser("grid", help="build and export sparse grids")
@@ -365,7 +531,10 @@ def build_parser():
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--levels")
-    p_run.add_argument("--threads", type=int, default=default_threads)
+    # argparse converts a string default with `type` only when the option
+    # is absent, so a bad FLOWQUAD_THREADS is a usage error of `run` alone
+    p_run.add_argument("--threads", type=_thread_count,
+                       default=os.environ.get("FLOWQUAD_THREADS", "1"))
 
     p_calc = sub.add_parser("calc", help="closed-form calculators")
     p_calc.add_argument("kind", choices=["constants", "threshold", "schedule"])
@@ -394,6 +563,8 @@ def main(argv=None):
                 spec = dataclasses.replace(
                     spec, grid={"levels": _parse_levels(args.levels)}
                 )
+            if args.seed is not None:
+                _typed(args.seed, int, "--seed", 0)
             cmd_run(spec, args.out, seed=args.seed, threads=args.threads)
         elif args.command == "calc":
             cmd_calc(args.kind, _parse_kv(args.params))

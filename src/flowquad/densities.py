@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidArgumentError
+from .quadrature import lattice, tensor_gauss
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,12 @@ def make_density_1d(family, params=None):
         raise InvalidArgumentError(
             f"unknown density family '{family}', known: {sorted(FAMILIES_1D)}"
         )
-    return FAMILIES_1D[family](params or {})
+    try:
+        return FAMILIES_1D[family](params or {})
+    except KeyError as exc:
+        raise InvalidArgumentError(
+            f"density family '{family}' needs parameter '{exc.args[0]}'"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -256,9 +262,7 @@ def check_bounds_on_lattice(density, points_per_axis=65, slack=1e-9):
     """Probe kappa <= f <= K on a tensor lattice (falls back to Monte Carlo
     for dim > 2).  Returns (min, max) of the probed values."""
     if density.dim <= 2:
-        axes = [np.linspace(0, 1, points_per_axis)] * density.dim
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = lattice(np.linspace(0, 1, points_per_axis), density.dim)
     else:
         rng = np.random.default_rng(0)
         pts = rng.uniform(size=(100_000, density.dim))
@@ -276,13 +280,5 @@ def total_mass(density, points_per_axis=129):
     """Reference unit-mass check by tensor Gauss-Legendre (dim <= 3)."""
     if density.dim > 3:
         raise InvalidArgumentError("dense mass check is limited to dim <= 3")
-    x, w = np.polynomial.legendre.leggauss(points_per_axis)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    axes = [x] * density.dim
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wt = w
-    for _ in range(density.dim - 1):
-        wt = np.multiply.outer(wt, w)
-    return float(np.dot(wt.ravel(), density.evaluate(pts)))
+    pts, wt = tensor_gauss(density.dim, points_per_axis)
+    return float(np.dot(wt, density.evaluate(pts)))

@@ -8,7 +8,7 @@ exactly (discretize-then-differentiate), so finite differences of the
 implemented map agree to rounding.
 """
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -17,17 +17,70 @@ from .errors import DomainError, IntegrationFailureError, InvalidArgumentError
 DEFAULT_STEPS = 64
 
 
-@dataclass
+@dataclasses.dataclass
 class FlowMap:
-    """RK4 flow of `field` with a fixed number of uniform steps."""
+    """RK4 flow of `field` with a fixed number of uniform steps.
+
+    `images` remembers the time-1 images of the rows it has pushed, for
+    one parameter snapshot at a time.
+    """
 
     field: object
     dim: int
     steps: int = DEFAULT_STEPS
+    # (snapshot, row bytes -> image row, images); replaced, never mutated
+    _memo: tuple = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.steps < 1:
             raise InvalidArgumentError(f"steps must be >= 1, got {self.steps}")
+
+    def _snapshot(self):
+        theta = getattr(self.field, "theta", None)
+        if theta is None:
+            return None
+        return (
+            self.field, self.steps, self.dim, theta.tobytes(),
+            getattr(self.field, "mask_enabled", None),
+            getattr(self.field, "linear_test_mode", None),
+        )
+
+    def images(self, x, push):
+        """Time-1 images of the rows of x, an (n, dim) batch.
+
+        Rows this map has not pushed under the current parameter snapshot
+        go through `push(rows) -> images` once, in order of first
+        appearance; the rest are read back.  A row's image does not depend
+        on the batch it was pushed in, so the result equals push(x).  The
+        snapshot is the field object, steps, dim, the bytes of
+        field.theta and the field's mask and linear-mode flags; any change
+        drops every remembered image.  Fields without `theta` are pushed
+        whole on every call.
+        """
+        x, _ = _as_batch(x, self.dim)
+        snapshot = self._snapshot()
+        if snapshot is None:
+            return push(x)
+        memo = self._memo
+        if memo is None or memo[0] != snapshot:
+            memo = (snapshot, {}, np.empty((0, self.dim)))
+        _, index, images = memo
+        index = dict(index)  # the memo is replaced whole, after a successful push
+        x = np.ascontiguousarray(x)
+        blob, size = x.tobytes(), x.shape[1] * x.itemsize
+        rows = np.empty(len(x), dtype=np.intp)
+        first = []
+        for i in range(len(x)):
+            key = blob[i * size : (i + 1) * size]
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(images) + len(first)
+                first.append(i)
+            rows[i] = j
+        if first:
+            images = np.concatenate([images, push(x[first])])
+            self._memo = (snapshot, index, images)
+        return images[rows]
 
 
 def _as_batch(x, dim):

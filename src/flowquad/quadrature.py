@@ -9,6 +9,9 @@ polynomials of degree < m exactly against its weight.
 Sparse grids combine tensor rules over the admissible multi-index band
 with alternating binomial coefficients; coincident nodes of the nested
 lattice are merged by exact index arithmetic, never by comparing floats.
+
+The dense tensor lattice and tensor Gauss-Legendre rule here also serve
+the reference oracles and the bound probes of the other modules.
 """
 
 import math
@@ -20,6 +23,8 @@ import numpy as np
 from .errors import EvaluationError, InvalidArgumentError, InvalidWeightError
 
 _GAUSS_PANEL_ORDER = 8
+# the fixed panel rule on [-1, 1] that every weighted moment computation uses
+_GAUSS_PANEL_X, _GAUSS_PANEL_W = np.polynomial.legendre.leggauss(_GAUSS_PANEL_ORDER)
 
 
 def _cos_pi_frac(num, den):
@@ -86,12 +91,11 @@ def _uniform_chebyshev_moments(m):
 def _weighted_chebyshev_moments(weight, m, domain, panels):
     """Moments of T_k against `weight` via composite Gauss-Legendre panels."""
     a, b = domain
-    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PANEL_ORDER)
     edges = np.linspace(-1.0, 1.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    pts = (mid[:, None] + half * gx[None, :]).ravel()
-    wts = np.tile(half * gw, panels)
+    pts = (mid[:, None] + half * _GAUSS_PANEL_X[None, :]).ravel()
+    wts = np.tile(half * _GAUSS_PANEL_W, panels)
 
     x_phys = _affine_to((a, b), pts)
     dens = np.asarray(weight(x_phys), dtype=float)
@@ -190,6 +194,24 @@ def cc_rule(m, domain=(0.0, 1.0), weight=None, weight_id=None):
         weight_id=weight_id,
         point_count=m,
     )
+
+
+def lattice(axis, dim):
+    """Tensor lattice axis^dim as an (len(axis)**dim, dim) array, last
+    coordinate fastest."""
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
+def tensor_gauss(dim, points_per_axis):
+    """Tensor Gauss-Legendre rule on [0, 1]^dim: (points, weights)."""
+    gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
+    gx = 0.5 * (gx + 1.0)
+    gw = 0.5 * gw
+    wt = gw
+    for _ in range(dim - 1):
+        wt = np.multiply.outer(wt, gw)
+    return lattice(gx, dim), wt.ravel()
 
 
 @dataclass(frozen=True)

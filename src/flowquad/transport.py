@@ -23,6 +23,7 @@ from .errors import (
     InversionError,
     UnsupportedDimensionError,
 )
+from .quadrature import lattice
 
 CDF_INVERSION_TOL = 1e-10
 
@@ -38,9 +39,7 @@ class _MarginalTables:
     def __init__(self, density, resolution):
         self.dim = density.dim
         self.grid = np.linspace(0.0, 1.0, resolution)
-        axes = [self.grid] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+        pts = lattice(self.grid, self.dim)
         f = density.evaluate(pts).reshape((resolution,) * self.dim)
 
         self.cumulative = {}
@@ -262,8 +261,7 @@ def mask_ratio_norms(transport, space_points=9, time_points=5, fd_step=1e-5):
     d = transport.dim
     xs = np.linspace(0.1, 0.9, space_points)
     ts = np.linspace(0.0, 1.0, time_points)
-    mesh = np.meshgrid(*([xs] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    pts = lattice(xs, d)
 
     def ratio(p, t):
         eta = p * (1.0 - p)

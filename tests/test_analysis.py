@@ -6,7 +6,7 @@ from flowquad import analysis as an
 from flowquad import densities as dn
 from flowquad import quadrature as quad
 from flowquad.errors import InvalidArgumentError, UnsupportedDimensionError
-from flowquad.flow import FlowMap
+from flowquad.flow import FlowMap, flow_forward
 from flowquad.network import MlpVectorField, hypothesis_architecture
 from flowquad.transport import KrTransport, TransportField
 
@@ -92,6 +92,97 @@ def test_threaded_integration_matches_serial():
     serial = an.integrate_via_flow(grid, fm, q, threads=1)
     threaded = an.integrate_via_flow(grid, fm, q, threads=4)
     assert serial == threaded  # fixed-order reduction is bitwise stable
+
+
+# ---------------------------------------------------------------------------
+# reuse of pushed nodes
+# ---------------------------------------------------------------------------
+
+QOI_FAMILIES = ("coordinate", "product", "cos_product", "abs_product", "constant")
+
+
+def level_sweep(fm, threads=1):
+    """Estimates of every QoI family at levels 1-4, all on the same flow map."""
+    qois = [an.make_qoi(family, fm.dim) for family in QOI_FAMILIES]
+    return [
+        [an.integrate_via_flow(quad.smolyak(fm.dim, level), fm, q, threads=threads) for q in qois]
+        for level in range(1, 5)
+    ]
+
+
+def fresh_estimate(grid, fm, qoi):
+    """The estimate from a new flow map, which has pushed nothing yet."""
+    return an.integrate_via_flow(grid, FlowMap(fm.field, dim=fm.dim, steps=fm.steps), qoi)
+
+
+def count_pushed_rows(monkeypatch):
+    pushed = []
+    push = an.flow_forward
+
+    def counting(fm, x, *args, **kwargs):
+        pushed.append(len(x))
+        return push(fm, x, *args, **kwargs)
+
+    monkeypatch.setattr(an, "flow_forward", counting)
+    return pushed
+
+
+def test_reused_images_equal_fresh_flow_maps():
+    fm = random_net_flow(dim=3, seed=5, steps=16)
+    qois = [an.make_qoi(family, 3) for family in QOI_FAMILIES]
+    fresh = [
+        [fresh_estimate(quad.smolyak(3, level), fm, q) for q in qois] for level in range(1, 5)
+    ]
+    assert level_sweep(fm) == fresh
+
+
+def test_each_distinct_node_is_pushed_once(monkeypatch):
+    pushed = count_pushed_rows(monkeypatch)
+    level_sweep(random_net_flow(dim=3, seed=5, steps=16))
+    # Clenshaw-Curtis levels are nested: the level-4 grid holds every node
+    assert len(pushed) == 4
+    assert sum(pushed) == quad.smolyak(3, 4).node_count
+
+
+@pytest.mark.parametrize("change", ["theta", "project_theta", "steps", "mask_enabled"])
+def test_changed_flow_is_pushed_again(change):
+    fm = random_net_flow(dim=3, seed=5, steps=16)
+    net = fm.field
+    net.theta[0] = 1.5  # outside [-1, 1], so projecting changes it
+    grid = quad.smolyak(3, 3)
+    q = an.make_qoi("cos_product", 3)
+    before = an.integrate_via_flow(grid, fm, q)
+    if change == "theta":
+        net.theta[:] = np.roll(net.theta, 1)
+    elif change == "project_theta":
+        net.project_theta()
+    elif change == "steps":
+        fm.steps = 8
+    else:
+        net.mask_enabled = False
+    after = an.integrate_via_flow(grid, fm, q)
+    assert after == fresh_estimate(grid, fm, q)
+    assert after != before
+
+
+# at d=1 the first grid has 3 nodes and the next ones 2 and 4 new nodes:
+# fewer rows to push than threads
+@pytest.mark.parametrize("dim,threads", [(3, 2), (1, 4)])
+def test_threaded_reuse_matches_serial(dim, threads):
+    serial = level_sweep(random_net_flow(dim=dim, seed=5, steps=16))
+    assert level_sweep(random_net_flow(dim=dim, seed=5, steps=16), threads=threads) == serial
+
+
+def test_fields_without_parameters_are_pushed_every_call(monkeypatch):
+    transport = KrTransport(dn.uniform_density(2), tilt_target(2, a=0.2, b=1.6))
+    grid = quad.smolyak(2, 2)
+    q = an.make_qoi("product", 2)
+    for fm in (zero_flow(2), FlowMap(TransportField(transport), dim=2, steps=4)):
+        direct = quad.kahan_sum(grid.weights * q.evaluate(flow_forward(fm, grid.nodes)))
+        pushed = count_pushed_rows(monkeypatch)
+        assert an.integrate_via_flow(grid, fm, q) == direct
+        assert an.integrate_via_flow(grid, fm, q) == direct
+        assert pushed == [grid.node_count] * 2
 
 
 def test_total_error():

@@ -251,3 +251,105 @@ def test_thread_default_from_environment(monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["run", "--spec", "x.json"])
     assert args.threads == 3
+
+
+# ---------------------------------------------------------------------------
+# malformed input and interrupted writes
+# ---------------------------------------------------------------------------
+
+
+def _run_with(*path, value):
+    """argv of `run` on the default spec with one entry replaced."""
+
+    def argv(tmp_path, monkeypatch):
+        payload = spec_payload()
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        (tmp_path / "escape").mkdir()
+        out = tmp_path / "out" / "nested"
+        return ["run", "--spec", write_spec(tmp_path, payload), "--out", str(out)]
+
+    return argv
+
+
+def _threads_from_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLOWQUAD_THREADS", "two")
+    return ["run", "--spec", write_spec(tmp_path, spec_payload()), "--out", str(tmp_path / "o")]
+
+
+def _report_of(text):
+    """argv of `report` on a results file with this text (None: no file)."""
+
+    def argv(tmp_path, monkeypatch):
+        path = tmp_path / "results.jsonl"
+        if text is not None:
+            path.write_text(text)
+        return ["report", "--results", str(path)]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        pytest.param(_run_with("training", "sample_size", value="50"), id="sample_size-string"),
+        pytest.param(_run_with("grid", "levels", value=7), id="levels-not-a-list"),
+        pytest.param(_run_with("grid", "levels", value=[True]), id="levels-bool"),
+        pytest.param(_run_with("dim", value=True), id="dim-bool"),
+        pytest.param(
+            _run_with("target", value={"family": "linear_tilt"}), id="density-params-missing"
+        ),
+        pytest.param(_run_with("name", value="../../escape/x"), id="name-with-path"),
+        pytest.param(_threads_from_environment, id="threads-environment"),
+        pytest.param(lambda *_: ["calc", "schedule", "n=abc"], id="calc-not-a-number"),
+        pytest.param(lambda *_: ["calc", "schedule", "beta=0.25"], id="calc-missing-key"),
+        pytest.param(_report_of(None), id="report-missing-file"),
+        pytest.param(_report_of('{"total_error": 1}\n'), id="report-missing-keys"),
+    ],
+)
+def test_malformed_input_exits_2_before_training(make_argv, tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on malformed input")
+
+    monkeypatch.setattr(cli, "train_erm", no_training)
+    argv = make_argv(tmp_path, monkeypatch)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    if (tmp_path / "escape").exists():
+        assert not os.listdir(tmp_path / "escape")
+
+
+@pytest.mark.parametrize(
+    "owner,writer,path_arg,target",
+    [
+        (cli, "save_checkpoint", 1, "tilt1d_seed7.ckpt"),
+        (cli.an, "append_reports", 0, "results.jsonl"),
+        (cli.an, "write_convergence_csv", 0, "convergence.csv"),
+    ],
+)
+def test_interrupted_write_keeps_previous_file(
+    owner, writer, path_arg, target, tmp_path, monkeypatch
+):
+    out = tmp_path / "out"
+    sink = lambda *_: None
+    cli.cmd_run(cli.parse_spec(spec_payload()), str(out), print_fn=sink)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def torn(*args):
+        with open(args[path_arg], "a") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(owner, writer, torn)
+    changed = spec_payload()
+    changed["training"]["max_epochs"] = 1  # different bytes in every output
+    with pytest.raises(OSError, match="disk full"):
+        cli.cmd_run(cli.parse_spec(changed), str(out), print_fn=sink)
+    assert sorted(os.listdir(out)) == sorted(before)  # no temporary file is left
+    assert (out / target).read_bytes() == before[target]
