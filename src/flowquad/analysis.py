@@ -10,7 +10,7 @@ target and the pushforward density (grid mode, dim <= 2).
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -201,21 +201,7 @@ class ErrorReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self):
-        payload = {
-            "total_error": self.total_error,
-            "quadrature_error": self.quadrature_error,
-            "learning_error_tv_bound": self.learning_error_tv_bound,
-            "kl_estimate": self.kl_estimate,
-            "reference_value": self.reference_value,
-            "estimate": self.estimate,
-            "dim": self.dim,
-            "level": self.level,
-            "node_count": self.node_count,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "metadata": self.metadata,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line):

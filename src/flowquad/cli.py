@@ -33,6 +33,7 @@ from .errors import (
     IntegrationFailureError,
     InvalidArgumentError,
     TrainingFailureError,
+    UnsupportedDimensionError,
 )
 from .flow import FlowMap
 from .network import MlpVectorField, capacity_constants, save_checkpoint
@@ -61,7 +62,7 @@ _TRAINING_MIN = {
     "sample_size": 1, "batch_size": 1, "max_epochs": 0, "hidden_depth": 1,
     "integrator_steps": 1,
 }
-_TOP_KEYS = {"name", "dim", "seed", "source", "target", "qoi", "grid", "training", "outputs"}
+_TOP_KEYS = {"name", "dim", "seed", "source", "target", "qoi", "grid", "training"}
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", dict: "an object", list: "a list"}
 
@@ -76,7 +77,6 @@ class ExperimentSpec:
     qoi: dict
     grid: dict
     training: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
 
 
 def _reject_unknown(mapping, allowed, path):
@@ -215,29 +215,14 @@ def parse_spec(payload):
     for level in levels:
         _typed(level, int, "grid.levels", 0)
     training = _check_training(payload.get("training", {}), dim, seed)
-    outputs = _typed(payload.get("outputs", {}), dict, "outputs")
-    _reject_unknown(outputs, {"dir"}, "outputs")
-    if "dir" in outputs:
-        _typed(outputs["dir"], str, "outputs.dir")
     return ExperimentSpec(
         name=name, dim=dim, seed=seed, source=dict(source), target=dict(target),
-        qoi=dict(qoi), grid=dict(grid), training=dict(training), outputs=dict(outputs),
+        qoi=dict(qoi), grid=dict(grid), training=dict(training),
     )
 
 
 def serialize_spec(spec):
-    payload = {
-        "name": spec.name,
-        "dim": spec.dim,
-        "seed": spec.seed,
-        "source": spec.source,
-        "target": spec.target,
-        "qoi": spec.qoi,
-        "grid": spec.grid,
-        "training": spec.training,
-        "outputs": spec.outputs,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(dataclasses.asdict(spec), sort_keys=True, indent=2)
 
 
 def load_spec(path):
@@ -280,7 +265,7 @@ def _ensure_outdir(path):
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise ConfigurationError(f"output directory not writable: {exc}", field="outputs.dir")
+        raise ConfigurationError(f"output directory not writable: {exc}", field="--out")
     return path
 
 
@@ -315,13 +300,16 @@ def _train_config(training, seed):
 
 
 def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
-    out_dir = _ensure_outdir(out_dir)
-    seed = spec.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-
     source = _density_from_spec(spec.source, spec.dim)
     target = _density_from_spec(spec.target, spec.dim)
     qoi = an.make_qoi(spec.qoi["family"], spec.dim, spec.qoi.get("params"))
+    try:
+        reference = an.reference_expectation(target, qoi)
+    except UnsupportedDimensionError as exc:
+        raise ConfigurationError(f"'dim': {exc}", field="dim") from None
+    out_dir = _ensure_outdir(out_dir)
+    seed = spec.seed if seed is None else seed
+    rng = np.random.default_rng(seed)
     transport = KrTransport(source, target)
 
     config = _train_config(spec.training, seed)
@@ -333,7 +321,6 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
         save_checkpoint(net, tmp)
     fm = FlowMap(net, dim=spec.dim, steps=EVAL_FLOW_STEPS)
 
-    reference = an.reference_expectation(target, qoi)
     learning_available = spec.dim <= 2
     if learning_available:
         tv, kl = an.tv_kl_estimate(target, fm, source)
@@ -453,17 +440,19 @@ def cmd_calc(kind, params, print_fn=print):
 def cmd_report(results_path, csv_path=None, print_fn=print):
     try:
         reports = an.read_reports(results_path)
-    except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, wrong keys
-        raise ConfigurationError(f"cannot read results file: {exc}", field="--results")
-    print_fn(f"{'n':>8} {'level':>5} {'nodes':>7} {'total':>12} {'quad':>12} "
-             f"{'tv':>10} {'kl':>10} {'seed':>6}")
-    for rep in reports:
-        print_fn(
+        rows = [
             f"{rep.sample_size:>8} {rep.level:>5} {rep.node_count:>7} "
             f"{rep.total_error:>12.4e} {rep.quadrature_error:>12.4e} "
             f"{rep.learning_error_tv_bound:>10.4f} {rep.kl_estimate:>10.5f} "
             f"{rep.seed:>6}"
-        )
+            for rep in reports
+        ]
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, wrong keys or types
+        raise ConfigurationError(f"cannot read results file: {exc}", field="--results")
+    print_fn(f"{'n':>8} {'level':>5} {'nodes':>7} {'total':>12} {'quad':>12} "
+             f"{'tv':>10} {'kl':>10} {'seed':>6}")
+    for row in rows:
+        print_fn(row)
     if csv_path:
         with _replaced_on_success(csv_path) as tmp:
             an.write_convergence_csv(tmp, reports)

@@ -1,7 +1,8 @@
 """Fixed-step RK4 flow maps and pushforward log-densities.
 
 The flow integrates any vector field exposing `field(x, t) -> velocity`
-and, for density work, `field.divergence(x, t)`.  The pushforward
+and, for density work, `field.divergence(x, t)`.  One RK4 stepper serves
+the forward map, its inverse and the density.  The pushforward
 log-density augments the backward integration with the divergence
 integral; its parameter gradient differentiates the discrete RK4 map
 exactly (discretize-then-differentiate), so finite differences of the
@@ -39,11 +40,8 @@ class FlowMap:
         theta = getattr(self.field, "theta", None)
         if theta is None:
             return None
-        return (
-            self.field, self.steps, self.dim, theta.tobytes(),
-            getattr(self.field, "mask_enabled", None),
-            getattr(self.field, "linear_test_mode", None),
-        )
+        return (self.field, self.steps, self.dim, theta.tobytes(),
+                getattr(self.field, "mask_enabled", None))
 
     def images(self, x, push):
         """Time-1 images of the rows of x, an (n, dim) batch.
@@ -52,10 +50,9 @@ class FlowMap:
         go through `push(rows) -> images` once, in order of first
         appearance; the rest are read back.  A row's image does not depend
         on the batch it was pushed in, so the result equals push(x).  The
-        snapshot is the field object, steps, dim, the bytes of
-        field.theta and the field's mask and linear-mode flags; any change
-        drops every remembered image.  Fields without `theta` are pushed
-        whole on every call.
+        snapshot is the field object, steps, dim, the bytes of field.theta
+        and the field's mask flag; any change drops every remembered image.
+        Fields without `theta` are pushed whole on every call.
         """
         x, _ = _as_batch(x, self.dim)
         snapshot = self._snapshot()
@@ -103,48 +100,60 @@ def _excursion(x):
     return max(0.0, float(np.max(x - 1.0)), float(np.max(-x)))
 
 
-def flow_forward(fm, x, t_end=1.0, return_excursion=False):
-    """Integrate dy/dt = v(y, t) from 0 to t_end; result clamped to the cube.
+def _rk4(rhs, y, steps, stages=None):
+    """Integrate dy/ds = rhs(y, s) over [0, 1] with `steps` uniform RK4 steps.
+
+    `rhs` returns (velocity, divergence); the divergence is integrated
+    alongside the state (pass 0.0 where it is not needed).  Returns the
+    final state clamped to the cube, the divergence integral and the
+    largest exit distance from the cube; when `stages` is a list, the four
+    stage inputs of every step are appended to it in order.
+    """
+
+    def stage(u, s):
+        if stages is not None:
+            stages.append(u)
+        return rhs(u, s)
+
+    acc = np.zeros(len(y))
+    worst = _excursion(y)
+    h = 1.0 / steps
+    for n in range(steps):
+        # stage inputs are not held past their rhs call: large batches
+        # would otherwise keep three more state-sized arrays alive
+        s = n * h
+        k1, d1 = stage(y, s)
+        k2, d2 = stage(y + 0.5 * h * k1, s + 0.5 * h)
+        k3, d3 = stage(y + 0.5 * h * k2, s + 0.5 * h)
+        k4, d4 = stage(y + h * k3, s + h)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        acc = acc + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        _check_finite(y, n)
+        worst = max(worst, _excursion(y))
+    return np.clip(y, 0.0, 1.0), acc, worst
+
+
+def flow_forward(fm, x, return_excursion=False):
+    """Time-1 image of dy/dt = v(y, t), clamped to the cube.
 
     The largest recorded exit distance from the cube is available via
     return_excursion (the boundary mask keeps it at integrator-error size).
     """
     y, single = _as_batch(x, fm.dim)
-    y = y.copy()
-    h = t_end / fm.steps
-    worst = _excursion(y)
-    for n in range(fm.steps):
-        t = n * h
-        k1 = fm.field(y, t)
-        k2 = fm.field(y + 0.5 * h * k1, t + 0.5 * h)
-        k3 = fm.field(y + 0.5 * h * k2, t + 0.5 * h)
-        k4 = fm.field(y + h * k3, t + h)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(y, n)
-        worst = max(worst, _excursion(y))
-    y = np.clip(y, 0.0, 1.0)
+    y, _, worst = _rk4(lambda u, t: (fm.field(u, t), 0.0), y, fm.steps)
     out = y[0] if single else y
     return (out, worst) if return_excursion else out
 
 
-def flow_inverse(fm, y, t_end=1.0, return_excursion=False):
-    """Time-reversed integration dz/ds = -v(z, t_end - s) from the image point."""
+def flow_inverse(fm, y):
+    """Preimage under the time-1 flow: dz/ds = -v(z, 1 - s) from the image point.
+
+    This is the same discrete map whose divergence integral the
+    log-density reads, so it returns the point where the source is read.
+    """
     z, single = _as_batch(y, fm.dim)
-    z = z.copy()
-    h = t_end / fm.steps
-    worst = _excursion(z)
-    for n in range(fm.steps):
-        s = n * h
-        k1 = -fm.field(z, t_end - s)
-        k2 = -fm.field(z + 0.5 * h * k1, t_end - s - 0.5 * h)
-        k3 = -fm.field(z + 0.5 * h * k2, t_end - s - 0.5 * h)
-        k4 = -fm.field(z + h * k3, t_end - s - h)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(z, n)
-        worst = max(worst, _excursion(z))
-    z = np.clip(z, 0.0, 1.0)
-    out = z[0] if single else z
-    return (out, worst) if return_excursion else out
+    z = _rk4(lambda u, s: (-fm.field(u, 1.0 - s), 0.0), z, fm.steps)[0]
+    return z[0] if single else z
 
 
 def _aug_rhs(fm, w, s):
@@ -159,28 +168,10 @@ def _aug_rhs(fm, w, s):
 def _log_density_sweep(fm, source, w, stages=None):
     """Integrate (position, divergence integral) backward from w with RK4.
 
-    Returns the clipped preimage and the log-densities; when `stages` is a
-    list, the four stage inputs of every step are appended to it.
+    Returns the clipped preimage and the log-densities; `stages` is passed
+    to `_rk4`.
     """
-    w = w.copy()
-    acc = np.zeros(len(w))
-    h = 1.0 / fm.steps
-    for n in range(fm.steps):
-        s = n * h
-        u1 = w
-        k1w, k1d = _aug_rhs(fm, u1, s)
-        u2 = w + 0.5 * h * k1w
-        k2w, k2d = _aug_rhs(fm, u2, s + 0.5 * h)
-        u3 = w + 0.5 * h * k2w
-        k3w, k3d = _aug_rhs(fm, u3, s + 0.5 * h)
-        u4 = w + h * k3w
-        k4w, k4d = _aug_rhs(fm, u4, s + h)
-        if stages is not None:
-            stages.append((u1, u2, u3, u4))
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        acc = acc + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        _check_finite(w, n)
-    z0 = np.clip(w, 0.0, 1.0)
+    z0, acc, _ = _rk4(lambda u, s: _aug_rhs(fm, u, s), w, fm.steps, stages)
     vals = source.evaluate(z0)
     if np.any(vals <= 0.0):
         bad = int(np.argmax(vals <= 0.0))
@@ -221,7 +212,7 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     c = np.asarray(sample_weights, dtype=float).reshape(batch, 1)
 
     h = 1.0 / fm.steps
-    stages = []  # per step: the four stage inputs
+    stages = []  # four stage inputs per step
     z0, logp = _log_density_sweep(fm, source, w, stages)
 
     # reverse sweep: lam tracks the cotangent on the running position,
@@ -236,7 +227,7 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
 
     for n in range(fm.steps - 1, -1, -1):
         s = n * h
-        u1, u2, u3, u4 = stages[n]
+        u1, u2, u3, u4 = stages[4 * n : 4 * n + 4]
         g4, gu4 = stage_vjp(u4, s + h, (h / 6.0) * lam, (h / 6.0) * lam_d)
         g3, gu3 = stage_vjp(u3, s + 0.5 * h, (h / 3.0) * lam + h * gu4, (h / 3.0) * lam_d)
         g2, gu2 = stage_vjp(u2, s + 0.5 * h, (h / 3.0) * lam + 0.5 * h * gu3, (h / 3.0) * lam_d)

@@ -138,12 +138,10 @@ class MlpVectorField:
     concurrent readers an independent copy.
     """
 
-    def __init__(self, arch, theta=None, mask_enabled=True, rng=None,
-                 linear_test_mode=False):
+    def __init__(self, arch, theta=None, mask_enabled=True, rng=None):
         self.arch = arch
         self.dim = arch.widths[-1]
         self.mask_enabled = mask_enabled
-        self.linear_test_mode = linear_test_mode
         if mask_enabled and arch.widths[0] != self.dim + 1:
             raise InvalidArgumentError(
                 f"masked field needs input width dim+1, got {arch.widths[0]} for dim {self.dim}"
@@ -180,10 +178,7 @@ class MlpVectorField:
         np.clip(self._theta, -1.0, 1.0, out=self._theta)
 
     def clone(self):
-        return MlpVectorField(
-            self.arch, self._theta.copy(), self.mask_enabled,
-            linear_test_mode=self.linear_test_mode,
-        )
+        return MlpVectorField(self.arch, self._theta.copy(), self.mask_enabled)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -191,21 +186,6 @@ class MlpVectorField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         tcol = np.broadcast_to(np.asarray(t, dtype=float), (len(x),)).reshape(-1, 1)
         return x, np.concatenate([x, tcol], axis=1)
-
-    def _sigma(self, a):
-        if self.linear_test_mode:
-            return a
-        return _act(a, self.arch.activation_power)
-
-    def _sigma_and_d1(self, a):
-        if self.linear_test_mode:
-            return a, np.ones_like(a)
-        return _act_and_d1(a, self.arch.activation_power)
-
-    def _sigma_d2(self, a):
-        if self.linear_test_mode:
-            return np.zeros_like(a)
-        return _act_d2(a, self.arch.activation_power)
 
     # -- forward -----------------------------------------------------------
 
@@ -242,11 +222,11 @@ class MlpVectorField:
                 ta.append(at)
             if li < len(self.layers) - 1:
                 if need_tangents:
-                    z, sp = self._sigma_and_d1(a)
+                    z, sp = _act_and_d1(a, self.arch.activation_power)
                     sps.append(sp)
                     tz.append((sp * at.reshape(d, batch, -1)).reshape(at.shape))
                 else:
-                    z = self._sigma(a)
+                    z = _act(a, self.arch.activation_power)
                 zs.append(z)
         raw = avals[-1]
         eta = x2 * (1.0 - x2)
@@ -297,7 +277,7 @@ class MlpVectorField:
         lam_div requires the cache to have been built with tangents.
         Returns (grad_theta flat, grad_x (B, d)).
         """
-        d = self.dim
+        d, s = self.dim, self.arch.activation_power
         zs, avals = cache["zs"], cache["avals"]
         raw, eta, etap = cache["raw"], cache["eta"], cache["etap"]
         batch = len(raw)
@@ -349,10 +329,10 @@ class MlpVectorField:
                 r_tz = (r_t @ w).reshape(d, batch, din)
             if li > 0:
                 a_prev = avals[li - 1]
-                sp = sps[li - 1] if sps is not None else self._sigma_and_d1(a_prev)[1]
+                sp = sps[li - 1] if sps is not None else _act_and_d1(a_prev, s)[1]
                 r_a = sp * r_z
                 if with_div:
-                    spp = self._sigma_d2(a_prev)
+                    spp = _act_d2(a_prev, s)
                     r_a += spp * (r_tz * ta[li - 1].reshape(d, batch, din)).sum(axis=0)
                     r_t = (sp * r_tz).reshape(d * batch, din)
             else:

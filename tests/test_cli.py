@@ -279,6 +279,14 @@ def _threads_from_environment(tmp_path, monkeypatch):
     return ["run", "--spec", write_spec(tmp_path, spec_payload()), "--out", str(tmp_path / "o")]
 
 
+# one well-formed results line, as `run` writes it
+_REPORT = {
+    "total_error": 0.1, "quadrature_error": 0.01, "learning_error_tv_bound": 0.2,
+    "kl_estimate": 0.05, "reference_value": 0.6, "estimate": 0.5, "dim": 1, "level": 2,
+    "node_count": 5, "sample_size": 96, "seed": 7, "metadata": {},
+}
+
+
 def _report_of(text):
     """argv of `report` on a results file with this text (None: no file)."""
 
@@ -302,11 +310,15 @@ def _report_of(text):
             _run_with("target", value={"family": "linear_tilt"}), id="density-params-missing"
         ),
         pytest.param(_run_with("name", value="../../escape/x"), id="name-with-path"),
+        pytest.param(_run_with("outputs", value={"dir": "elsewhere"}), id="outputs"),
+        pytest.param(_run_with("dim", value=4), id="dim-4"),
         pytest.param(_threads_from_environment, id="threads-environment"),
         pytest.param(lambda *_: ["calc", "schedule", "n=abc"], id="calc-not-a-number"),
         pytest.param(lambda *_: ["calc", "schedule", "beta=0.25"], id="calc-missing-key"),
         pytest.param(_report_of(None), id="report-missing-file"),
         pytest.param(_report_of('{"total_error": 1}\n'), id="report-missing-keys"),
+        pytest.param(_report_of(json.dumps({**_REPORT, "total_error": "x"}) + "\n"),
+                     id="report-wrong-type"),
     ],
 )
 def test_malformed_input_exits_2_before_training(make_argv, tmp_path, monkeypatch, capsys):

@@ -100,7 +100,18 @@ def test_excursions_stay_tiny():
     assert worst < 1e-9
 
 
-def test_integration_failure_carries_step():
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(flow_forward, id="flow_forward"),
+        pytest.param(flow_inverse, id="flow_inverse"),
+        pytest.param(
+            lambda fm, y: log_pushforward_density(fm, dn.uniform_density(1), y),
+            id="log_pushforward_density",
+        ),
+    ],
+)
+def test_integration_failure_carries_step(entry):
     class BadField:
         def __call__(self, x, t):
             return np.full_like(np.atleast_2d(x), np.inf)
@@ -110,13 +121,29 @@ def test_integration_failure_carries_step():
 
     fm = FlowMap(BadField(), dim=1, steps=4)
     with pytest.raises(IntegrationFailureError) as err:
-        flow_forward(fm, np.array([0.5]))
+        entry(fm, np.array([0.5]))
     assert err.value.step == 0
 
 
 # ---------------------------------------------------------------------------
 # pushforward density
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("steps", [3, 8, 64])
+def test_density_reads_source_at_flow_inverse(steps):
+    # the log-density and flow_inverse integrate one discrete backward map
+    read = []
+
+    def evaluate(z):
+        read.append(z.copy())
+        return np.ones(len(z))
+
+    source = dn.custom_density(2, evaluate, 1.0, 1.0)
+    fm = FlowMap(random_net(seed=5), dim=2, steps=steps)
+    y = np.random.default_rng(12).uniform(0.05, 0.95, size=(12, 2))
+    log_pushforward_density(fm, source, y)
+    np.testing.assert_array_equal(read[-1], flow_inverse(fm, y))
 
 
 def test_zero_field_uniform_density_log_is_zero():

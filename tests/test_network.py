@@ -166,11 +166,13 @@ def test_zero_theta_gradient_structure():
 
 
 def test_linear_mode_matches_least_squares_gradient():
-    # identity activation: the net is affine and the gradient has a closed form
-    arch = Architecture((2, 3, 1))
+    # ReLU with every hidden pre-activation positive acts as the identity:
+    # the net is affine and the gradient has a closed form
+    arch = Architecture((2, 3, 1), activation_power=1)
     rng = np.random.default_rng(8)
     theta = rng.uniform(-0.5, 0.5, size=arch.param_count)
-    net = MlpVectorField(arch, theta=theta, mask_enabled=False, linear_test_mode=True)
+    net = MlpVectorField(arch, theta=theta, mask_enabled=False)
+    net.layers[0][1][:] += 1.5  # b0: pre-activations stay >= 0.25 on [0, 1] x {0.5}
     w0, b0 = net.layers[0]
     w1, b1 = net.layers[1]
     x = rng.uniform(size=(6, 1))
@@ -201,10 +203,10 @@ def test_divergence_zero_field():
 
 
 def test_divergence_identity_field_masked():
-    # raw field v(x) = x through identity activations; masked divergence at
-    # the center is d * 0.25
+    # raw field v(x) = x through ReLU on positive pre-activations; masked
+    # divergence at the center is d * 0.25
     d = 3
-    arch = Architecture((d + 1, d + 1, d))
+    arch = Architecture((d + 1, d + 1, d), activation_power=1)
     theta = np.zeros(arch.param_count)
     w0 = np.eye(d + 1)
     theta[: (d + 1) ** 2] = w0.ravel()
@@ -212,7 +214,7 @@ def test_divergence_identity_field_masked():
     w1 = np.zeros((d, d + 1))
     w1[:, :d] = np.eye(d)
     theta[o : o + d * (d + 1)] = w1.ravel()
-    net = MlpVectorField(arch, theta=theta, mask_enabled=True, linear_test_mode=True)
+    net = MlpVectorField(arch, theta=theta, mask_enabled=True)
     x = np.full(d, 0.5)
     assert abs(net.divergence(x, 0.0) - d * 0.25) < 1e-14
     # general point: sum of eta_i + x_i (1 - 2 x_i)
