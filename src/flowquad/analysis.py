@@ -10,7 +10,7 @@ target and the pushforward density (grid mode, dim <= 2).
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -201,25 +201,42 @@ class ErrorReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
+        """One strict JSON line; a value that is not finite (NaN for a term
+        not measured, such as TV/KL at dim 3) is written as null."""
+        return json.dumps(_nan_to_null(asdict(self)), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, line):
+        """Parse and type-check one results line; a null float reads as NaN.
+        Wrong value types raise ValueError, missing or unknown keys TypeError."""
         d = json.loads(line)
-        return cls(**d)
+        if not isinstance(d, dict):
+            raise ValueError(f"a results line must be a JSON object, got {d!r}")
+        kinds = {f.name: f.type for f in fields(cls)}
+        return cls(**{k: _checked(k, kinds[k], v) if k in kinds else v for k, v in d.items()})
 
     def csv_row(self):
-        cells = [
-            str(self.sample_size),
-            str(self.level),
-            str(self.node_count),
-            f"{self.total_error:.17g}",
-            f"{self.quadrature_error:.17g}",
-            f"{self.learning_error_tv_bound:.17g}",
-            f"{self.kl_estimate:.17g}",
-            str(self.seed),
-        ]
-        return ",".join(cells)
+        errors = (self.total_error, self.quadrature_error, self.learning_error_tv_bound,
+                  self.kl_estimate)
+        cells = [self.sample_size, self.level, self.node_count,
+                 *("" if math.isnan(v) else f"{v:.17g}" for v in errors), self.seed]
+        return ",".join(map(str, cells))
+
+
+def _nan_to_null(value):
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _checked(name, kind, value):
+    """A value of field type `kind` (int, float or dict); bools are not
+    numbers, and a float field reads null as NaN."""
+    if kind is float and value is None:
+        return math.nan
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"results field '{name}' must be {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def append_reports(path, reports):

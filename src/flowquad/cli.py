@@ -234,13 +234,8 @@ def load_spec(path):
 
 
 def _density_from_spec(spec, dim):
-    if "per_axis" in spec:
-        factors = [
-            make_density_1d(ax["family"], ax.get("params")) for ax in spec["per_axis"]
-        ]
-    else:
-        factors = [make_density_1d(spec["family"], spec.get("params")) for _ in range(dim)]
-    return product_density(factors)
+    axes = spec["per_axis"] if "per_axis" in spec else [spec] * dim
+    return product_density([make_density_1d(ax["family"], ax.get("params")) for ax in axes])
 
 
 @contextlib.contextmanager
@@ -437,14 +432,19 @@ def cmd_calc(kind, params, print_fn=print):
     return got
 
 
+def _cell(value, width, spec):
+    """A right-aligned table cell; a value that was not measured (NaN) shows as n/a."""
+    return "n/a".rjust(width) if math.isnan(value) else format(value, f">{width}{spec}")
+
+
 def cmd_report(results_path, csv_path=None, print_fn=print):
     try:
         reports = an.read_reports(results_path)
         rows = [
             f"{rep.sample_size:>8} {rep.level:>5} {rep.node_count:>7} "
-            f"{rep.total_error:>12.4e} {rep.quadrature_error:>12.4e} "
-            f"{rep.learning_error_tv_bound:>10.4f} {rep.kl_estimate:>10.5f} "
-            f"{rep.seed:>6}"
+            f"{_cell(rep.total_error, 12, '.4e')} {_cell(rep.quadrature_error, 12, '.4e')} "
+            f"{_cell(rep.learning_error_tv_bound, 10, '.4f')} "
+            f"{_cell(rep.kl_estimate, 10, '.5f')} {rep.seed:>6}"
             for rep in reports
         ]
     except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, wrong keys or types

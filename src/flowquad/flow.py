@@ -29,7 +29,7 @@ class FlowMap:
     field: object
     dim: int
     steps: int = DEFAULT_STEPS
-    # (snapshot, row bytes -> image row, images); replaced, never mutated
+    # (snapshot, pushed row keys, their images); replaced, never mutated
     _memo: tuple = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -48,36 +48,38 @@ class FlowMap:
 
         Rows this map has not pushed under the current parameter snapshot
         go through `push(rows) -> images` once, in order of first
-        appearance; the rest are read back.  A row's image does not depend
-        on the batch it was pushed in, so the result equals push(x).  The
-        snapshot is the field object, steps, dim, the bytes of field.theta
-        and the field's mask flag; any change drops every remembered image.
-        Fields without `theta` are pushed whole on every call.
+        appearance; the rest are read back.  Rows are keyed by their exact
+        bytes, so -0.0 and 0.0 are different rows.  A row's image does not
+        depend on the batch it was pushed in, so the result equals push(x).
+        The snapshot is the field object, steps, dim, the bytes of
+        field.theta and the field's mask flag; any change drops every
+        remembered image.  Fields without `theta` are pushed whole on
+        every call.
         """
         x, _ = _as_batch(x, self.dim)
         snapshot = self._snapshot()
         if snapshot is None:
             return push(x)
+        row_key = np.dtype((np.void, x.itemsize * self.dim))
         memo = self._memo
         if memo is None or memo[0] != snapshot:
-            memo = (snapshot, {}, np.empty((0, self.dim)))
-        _, index, images = memo
-        index = dict(index)  # the memo is replaced whole, after a successful push
+            memo = (snapshot, np.empty(0, row_key), np.empty((0, self.dim)))
+        _, known, images = memo
         x = np.ascontiguousarray(x)
-        blob, size = x.tobytes(), x.shape[1] * x.itemsize
-        rows = np.empty(len(x), dtype=np.intp)
-        first = []
-        for i in range(len(x)):
-            key = blob[i * size : (i + 1) * size]
-            j = index.get(key)
-            if j is None:
-                j = index[key] = len(images) + len(first)
-                first.append(i)
-            rows[i] = j
-        if first:
-            images = np.concatenate([images, push(x[first])])
-            self._memo = (snapshot, index, images)
-        return images[rows]
+        keys = x.view(row_key).ravel()
+        _, row, inv = np.unique(
+            np.concatenate([known, keys]), return_index=True, return_inverse=True
+        )
+        # known keys are distinct, so a known key's first index is its image
+        # row; unseen keys get the next rows in order of first appearance
+        new = np.flatnonzero(row >= len(known))
+        new = new[np.argsort(row[new])]
+        at = row[new] - len(known)
+        row[new] = len(known) + np.arange(len(new))
+        if len(new):
+            images = np.concatenate([images, push(x[at])])
+            self._memo = (snapshot, np.concatenate([known, keys[at]]), images)
+        return images[row[inv.ravel()[len(known):]]]
 
 
 def _as_batch(x, dim):

@@ -4,19 +4,24 @@ Univariate rules use the Chebyshev-extrema nodes on [-1, 1], mapped
 affinely to the requested interval.  Weights are solved from Chebyshev
 moment matching (closed-form moments for the uniform weight, reference
 quadrature for user densities), so every m-point rule integrates
-polynomials of degree < m exactly against its weight.
+polynomials of degree < m exactly against its weight.  `cc_rule` solves
+each (point count, domain, weight) rule once and keeps it in a small
+cache.
 
 Sparse grids combine tensor rules over the admissible multi-index band
-with alternating binomial coefficients; coincident nodes of the nested
-lattice are merged by exact index arithmetic, never by comparing floats.
+with alternating binomial coefficients.  Every nested node of a grid
+lies on one dyadic lattice cos(pi j / N), so each tensor point is an
+integer code and coincident nodes are merged by exact integer
+comparison, never by comparing floats.
 
 The dense tensor lattice and tensor Gauss-Legendre rule here also serve
 the reference oracles and the bound probes of the other modules.
 """
 
+import functools
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -148,17 +153,13 @@ def cc_weights(m, domain=(-1.0, 1.0), weight=None):
     a, b = _check_domain(domain)
     if m < 1:
         raise InvalidArgumentError(f"point count must be >= 1, got {m}")
-    if m == 1:
-        if weight is None:
-            return np.array([b - a])
-        total = _weighted_chebyshev_moments(weight, 1, (a, b), panels=max(64, 64 * m))[0]
-        return np.array([total])
     if weight is None:
         mom = _uniform_chebyshev_moments(m) * (0.5 * (b - a))
     else:
         mom = _weighted_chebyshev_moments(weight, m, (a, b), panels=64 * m)
-    w_desc = _weights_from_moments(mom)
-    return w_desc[::-1].copy()  # nodes are reported ascending
+    if m == 1:  # the midpoint carries the whole mass
+        return mom
+    return _weights_from_moments(mom)[::-1].copy()  # nodes are reported ascending
 
 
 @dataclass(frozen=True)
@@ -184,16 +185,26 @@ class Rule1D:
 
 
 def cc_rule(m, domain=(0.0, 1.0), weight=None, weight_id=None):
-    """Construct the m-point Clenshaw-Curtis Rule1D on `domain`."""
+    """The m-point Clenshaw-Curtis Rule1D on `domain`.
+
+    Rules are cached per (m, domain, weight, weight_id), so `weight` must
+    be pure; weights that compare equal count as one density, and an
+    unhashable one is solved on every call.  The cache holds its
+    callables, so their identities are never reused.
+    """
     if weight_id is None:
         weight_id = "uniform" if weight is None else "custom"
-    return Rule1D(
-        nodes=cc_nodes(m, domain),
-        weights=cc_weights(m, domain, weight),
-        domain=tuple(domain),
-        weight_id=weight_id,
-        point_count=m,
-    )
+    a, b = _check_domain(domain)
+    solve = _cached_rule if isinstance(weight, Hashable) else _solve_rule
+    return solve(m, a, b, weight, weight_id)
+
+
+def _solve_rule(m, a, b, weight, weight_id):
+    return Rule1D(nodes=cc_nodes(m, (a, b)), weights=cc_weights(m, (a, b), weight),
+                  domain=(a, b), weight_id=weight_id, point_count=m)
+
+
+_cached_rule = functools.lru_cache(maxsize=256)(_solve_rule)
 
 
 def lattice(axis, dim):
@@ -206,12 +217,8 @@ def lattice(axis, dim):
 def tensor_gauss(dim, points_per_axis):
     """Tensor Gauss-Legendre rule on [0, 1]^dim: (points, weights)."""
     gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-    wt = gw
-    for _ in range(dim - 1):
-        wt = np.multiply.outer(wt, gw)
-    return lattice(gx, dim), wt.ravel()
+    wt = functools.reduce(np.multiply.outer, [0.5 * gw] * dim)
+    return lattice(0.5 * (gx + 1.0), dim), wt.ravel()
 
 
 @dataclass(frozen=True)
@@ -225,10 +232,6 @@ class MultiIndex:
             raise InvalidArgumentError(f"multi-index entries must be >= 1, got {self.entries}")
 
     @property
-    def dim(self):
-        return len(self.entries)
-
-    @property
     def total(self):
         return sum(self.entries)
 
@@ -239,11 +242,7 @@ def tensor_rule(index, per_dim_rules):
     per_dim_rules[i] must carry growth(index_i) points.
     Returns (nodes (M, d), weights (M,)).
     """
-    if isinstance(index, MultiIndex):
-        entries = index.entries
-    else:
-        entries = tuple(index)
-        index = MultiIndex(entries)
+    entries = (index if isinstance(index, MultiIndex) else MultiIndex(tuple(index))).entries
     if len(per_dim_rules) != len(entries):
         raise InvalidArgumentError(
             f"index has {len(entries)} entries but {len(per_dim_rules)} rules were given"
@@ -253,14 +252,9 @@ def tensor_rule(index, per_dim_rules):
             raise InvalidArgumentError(
                 f"rule {i} has {rule.point_count} points, expected growth({k}) = {growth(k)}"
             )
-    node_axes = [r.nodes for r in per_dim_rules]
-    weight_axes = [r.weights for r in per_dim_rules]
-    grids = np.meshgrid(*node_axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    w = weight_axes[0]
-    for axis in weight_axes[1:]:
-        w = np.multiply.outer(w, axis)
-    return nodes, w.ravel()
+    grids = np.meshgrid(*(r.nodes for r in per_dim_rules), indexing="ij")
+    w = functools.reduce(np.multiply.outer, (r.weights for r in per_dim_rules))
+    return np.stack([g.ravel() for g in grids], axis=-1), w.ravel()
 
 
 @dataclass(frozen=True)
@@ -298,89 +292,73 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _node_ids(m):
-    """Canonical (num, den) angle fractions of the m-point rule, ascending order.
-
-    Node value is cos(pi * num / den); fractions are reduced so that nested
-    levels share identical ids.
-    """
-    if m == 1:
-        return [(1, 2)]
-    n = m - 1
-    ids = []
-    for j in range(m):
-        num, den = n - j, n
-        while num % 2 == 0 and den > 1:
-            num //= 2
-            den //= 2
-        ids.append((num, den))
-    return ids
-
-
 def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     """Assemble the sparse grid of the given dimension and sparsity level.
 
     `weights` is None (uniform), a single density callable used on every
-    axis, or a sequence of d per-axis density callables.  The same rule
+    axis, or a sequence of d per-axis density callables; they must be pure,
+    since `cc_rule` solves each univariate rule once.  The same rule
     family per axis is reused at every level, preserving nesting.
 
-    All deduplicated lattice nodes are kept, so the node count equals the
-    set union of the contributing tensor grids.
+    Every node lies on the lattice cos(pi j / N)^d, N = max(2, 2**level),
+    so a tensor point is one mixed-radix int64 code (or its index row when
+    (N + 1)**d overflows int64).  Weights of equal codes are summed in
+    combination order; the node count equals the set union of the
+    contributing tensor grids, and nodes come out in lexicographic order.
     """
     a, b = _check_domain(domain)
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     if level < 0:
         raise InvalidArgumentError(f"level must be >= 0, got {level}")
-    if weights is None or callable(weights):
-        per_dim_weight = [weights] * dim
-    else:
-        per_dim_weight = list(weights)
-        if len(per_dim_weight) != dim:
-            raise InvalidArgumentError(
-                f"got {len(per_dim_weight)} axis weights for dim {dim}"
-            )
+    per_dim_weight = [weights] * dim if weights is None or callable(weights) else list(weights)
+    if len(per_dim_weight) != dim:
+        raise InvalidArgumentError(f"got {len(per_dim_weight)} axis weights for dim {dim}")
 
     q = level + dim
-    max_1d_level = q - dim + 1
-    rules = []  # rules[i][k-1] = axis-i rule at level k
-    for i in range(dim):
-        rules.append(
-            [cc_rule(growth(k), (a, b), per_dim_weight[i]) for k in range(1, max_1d_level + 1)]
-        )
-    ids_by_level = [_node_ids(growth(k)) for k in range(1, max_1d_level + 1)]
+    rules = [[cc_rule(growth(k), (a, b), w) for k in range(1, level + 2)] for w in per_dim_weight]
+    fine = max(2, 2**level)
+    radix = fine + 1
+    coded = radix**dim < 2**63
+    # lattice indices of each 1-D level's nodes, ascending; level 1 is the midpoint
+    positions = [np.array([fine // 2])] + [
+        np.arange(2 ** (k - 1), -1, -1) * (fine >> (k - 1)) for k in range(2, level + 2)
+    ]
 
-    accum = {}
-    terms = []
+    terms, keys, parts = [], [], []
     for total in range(max(dim, q - dim + 1), q + 1):
         coeff = (-1) ** (q - total) * math.comb(dim - 1, q - total)
         for entries in _compositions(total, dim):
             terms.append((MultiIndex(entries), coeff))
-            axis_ids = [ids_by_level[k - 1] for k in entries]
-            axis_weights = [rules[i][k - 1].weights for i, k in enumerate(entries)]
-            for combo in iter_product(*(range(len(ids)) for ids in axis_ids)):
-                key = tuple(axis_ids[i][j] for i, j in enumerate(combo))
-                w = coeff
-                for i, j in enumerate(combo):
-                    w *= axis_weights[i][j]
-                accum[key] = accum.get(key, 0.0) + w
+            axes = [positions[k - 1] for k in entries]
+            # products in axis order from the coefficient, last axis fastest
+            w_axes = (rules[i][k - 1].weights for i, k in enumerate(entries))
+            parts.append(functools.reduce(np.multiply.outer, w_axes, float(coeff)).ravel())
+            if coded:
+                keys.append(functools.reduce(lambda c, j: np.add.outer(c * radix, j), axes).ravel())
+                continue
+            rows = np.empty([len(j) for j in axes] + [dim], dtype=np.int64)
+            for i, j in enumerate(axes):
+                rows[..., i] = j.reshape((-1,) + (1,) * (dim - 1 - i))
+            keys.append(rows.reshape(-1, dim))
 
-    nodes = np.array(
-        [[_affine_to((a, b), _cos_pi_frac(num, den)) for num, den in key] for key in accum]
-    ).reshape(len(accum), dim)
-    wvec = np.array(list(accum.values()))
+    keys = np.concatenate(keys)
+    if not coded:  # one opaque key per index row
+        keys = keys.view(np.dtype((np.void, keys.itemsize * dim))).ravel()
+    uniq, inv = np.unique(keys, return_inverse=True)
+    # bincount adds each code's weights in input order, i.e. combination order
+    wvec = np.bincount(inv.ravel(), weights=np.concatenate(parts))
+    if coded:
+        idx = uniq[:, None] // radix ** np.arange(dim - 1, -1, -1) % radix
+    else:
+        idx = uniq.view(np.int64).reshape(-1, dim)
+    table = np.array([_affine_to((a, b), _cos_pi_frac(j, fine)) for j in range(radix)])
+    nodes = table[idx]
     order = np.lexsort(nodes.T[::-1])
-    nodes = nodes[order]
-    wvec = wvec[order]
-    weight_id = "uniform" if weights is None else "custom"
     return SparseGrid(
-        dim=dim,
-        level=level,
-        nodes=nodes,
-        weights=wvec,
-        combination_terms=tuple(terms),
-        domain=(a, b),
-        weight_id=weight_id,
+        dim=dim, level=level, nodes=nodes[order], weights=wvec[order],
+        combination_terms=tuple(terms), domain=(a, b),
+        weight_id="uniform" if weights is None else "custom",
     )
 
 

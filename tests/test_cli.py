@@ -319,6 +319,17 @@ def _report_of(text):
         pytest.param(_report_of('{"total_error": 1}\n'), id="report-missing-keys"),
         pytest.param(_report_of(json.dumps({**_REPORT, "total_error": "x"}) + "\n"),
                      id="report-wrong-type"),
+        pytest.param(_report_of(json.dumps({**_REPORT, "sample_size": "x"}) + "\n"),
+                     id="report-int-is-string"),
+        pytest.param(_report_of(json.dumps({**_REPORT, "level": True}) + "\n"),
+                     id="report-int-is-bool"),
+        pytest.param(_report_of(json.dumps({**_REPORT, "seed": 7.0}) + "\n"),
+                     id="report-int-is-float"),
+        pytest.param(_report_of(json.dumps({**_REPORT, "kl_estimate": False}) + "\n"),
+                     id="report-float-is-bool"),
+        pytest.param(_report_of(json.dumps({**_REPORT, "metadata": []}) + "\n"),
+                     id="report-metadata-not-dict"),
+        pytest.param(_report_of("[1, 2]\n"), id="report-line-not-an-object"),
     ],
 )
 def test_malformed_input_exits_2_before_training(make_argv, tmp_path, monkeypatch, capsys):
@@ -335,6 +346,43 @@ def test_malformed_input_exits_2_before_training(make_argv, tmp_path, monkeypatc
     assert "Traceback" not in capsys.readouterr().err
     if (tmp_path / "escape").exists():
         assert not os.listdir(tmp_path / "escape")
+
+
+def test_report_with_wrong_typed_field_writes_no_csv(tmp_path, capsys):
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps({**_REPORT, "sample_size": "x"}) + "\n")
+    csv_out = tmp_path / "table.csv"
+    assert cli.main(["report", "--results", str(results), "--csv", str(csv_out)]) == 2
+    assert not csv_out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unmeasured_terms_are_null_in_results_and_blank_in_csv(tmp_path):
+    # at dim 3 the TV/KL terms are not measured: NaN in memory
+    nan = float("nan")
+    rep = cli.an.ErrorReport(**{**_REPORT, "learning_error_tv_bound": nan, "kl_estimate": nan})
+    line = rep.to_json()
+
+    def no_constants(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(line, parse_constant=no_constants)
+    assert payload["learning_error_tv_bound"] is None and payload["kl_estimate"] is None
+    assert rep.csv_row().split(",")[5:7] == ["", ""]
+    infinite = cli.an.ErrorReport(**{**_REPORT, "kl_estimate": float("inf")})
+    assert json.loads(infinite.to_json(), parse_constant=no_constants)["kl_estimate"] is None
+
+    results = tmp_path / "results.jsonl"
+    results.write_text(line + "\n" + json.dumps(_REPORT) + "\n")
+    csv_out = tmp_path / "table.csv"
+    lines = []
+    back = cli.cmd_report(str(results), csv_path=str(csv_out), print_fn=lines.append)
+    assert np.isnan(back[0].kl_estimate) and back[0].to_json() == line
+    assert lines[1].split()[5:7] == ["n/a", "n/a"]
+    assert "n/a" not in lines[2]
+    rows = csv_out.read_text().splitlines()
+    assert rows[1].split(",")[5:7] == ["", ""]
+    assert rows[2] == cli.an.ErrorReport(**_REPORT).csv_row()
 
 
 @pytest.mark.parametrize(

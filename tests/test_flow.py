@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowquad import densities as dn
+from flowquad import quadrature as quad
 from flowquad.errors import IntegrationFailureError
 from flowquad.flow import (
     FlowMap,
@@ -123,6 +124,87 @@ def test_integration_failure_carries_step(entry):
     with pytest.raises(IntegrationFailureError) as err:
         entry(fm, np.array([0.5]))
     assert err.value.step == 0
+
+
+# ---------------------------------------------------------------------------
+# remembered node images
+# ---------------------------------------------------------------------------
+
+
+def fake_push(rows):
+    """A stand-in flow that tells rows apart, -0.0 from 0.0 included."""
+    return 2.0 * rows + np.signbit(rows) + 0.25
+
+
+def recording_push(batches):
+    def push(rows):
+        batches.append(rows.copy())
+        return fake_push(rows)
+
+    return push
+
+
+def expected_push_batches(batches):
+    """Rows a memo keyed by exact row bytes pushes: the unseen rows of each
+    batch, in order of first appearance."""
+    seen, out = set(), []
+    for x in batches:
+        fresh = []
+        for row in x:
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                fresh.append(row)
+        if fresh:
+            out.append(np.array(fresh))
+    return out
+
+
+def test_images_push_unseen_rows_in_first_appearance_order():
+    rng = np.random.default_rng(3)
+    grids = [quad.smolyak(3, level).nodes for level in range(1, 5)]
+    shuffled = grids[3][rng.permutation(len(grids[3]))]
+    batches = grids + [
+        np.concatenate([shuffled[:50], rng.uniform(size=(30, 3)), shuffled[:50]]),
+        grids[2][::-1],
+    ]
+    fm, pushed = FlowMap(random_net(dim=3), dim=3), []
+    for x in batches:
+        np.testing.assert_array_equal(fm.images(x, recording_push(pushed)), fake_push(x))
+    expected = expected_push_batches(batches)
+    assert len(pushed) == len(expected)
+    for got, want in zip(pushed, expected):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_images_duplicate_rows_in_one_batch_are_pushed_once():
+    x = np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [0.5, 0.6], [0.3, 0.4]])
+    fm, pushed = FlowMap(random_net(dim=2), dim=2), []
+    np.testing.assert_array_equal(fm.images(x, recording_push(pushed)), fake_push(x))
+    assert len(pushed) == 1
+    np.testing.assert_array_equal(pushed[0], x[[0, 1, 3]])
+
+
+def test_images_keep_negative_zero_apart():
+    x = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5]])
+    fm, pushed = FlowMap(random_net(dim=2), dim=2), []
+    out = fm.images(x, recording_push(pushed))
+    assert [row.tobytes() for row in out] == [row.tobytes() for row in fake_push(x)]
+    assert len(pushed) == 1 and len(pushed[0]) == 2
+    assert np.signbit(pushed[0][1, 0]) and not np.signbit(pushed[0][0, 0])
+    out = fm.images(x[::-1], recording_push(pushed))
+    assert len(pushed) == 1  # both zeros are remembered
+    assert [row.tobytes() for row in out] == [row.tobytes() for row in fake_push(x[::-1])]
+
+
+def test_images_reuse_memo_for_grid_read_back(tmp_path):
+    grid = quad.smolyak(2, 4)
+    fm, pushed = FlowMap(random_net(dim=2), dim=2), []
+    first = fm.images(grid.nodes, recording_push(pushed))
+    path = tmp_path / "grid.txt"
+    quad.write_grid(grid, path)
+    again = fm.images(quad.read_grid(path).nodes, recording_push(pushed))
+    assert len(pushed) == 1
+    np.testing.assert_array_equal(again, first)
 
 
 # ---------------------------------------------------------------------------

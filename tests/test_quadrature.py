@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowquad import densities as dn
 from flowquad import quadrature as quad
 from flowquad.errors import EvaluationError, InvalidArgumentError, InvalidWeightError
 
@@ -261,6 +262,115 @@ def test_smolyak_distinct_axis_weights():
     # E[x1 * x2^2] factorizes: int x(0.5+x) dx * int x^2 2x dx = (7/12)(1/2)
     got = quad.apply(grid, lambda x: x[0] * x[1] ** 2)
     assert abs(got - (7.0 / 12.0) * 0.5) < 1e-10
+
+
+def _reduced_angle_ids(m):
+    """(num, den) with node cos(pi * num / den), reduced, ascending nodes."""
+    if m == 1:
+        return [(1, 2)]
+    ids = []
+    for j in range(m):
+        num, den = m - 1 - j, m - 1
+        while num % 2 == 0 and den > 1:
+            num //= 2
+            den //= 2
+        ids.append((num, den))
+    return ids
+
+
+def dict_smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
+    """Reference assembly: every tensor point of every combination term,
+    keyed by its reduced angle fractions and summed in a dict in term
+    order.  Univariate weights are solved here, bypassing the rule cache."""
+    a, b = domain
+    per_dim_weight = [weights] * dim if weights is None or callable(weights) else weights
+    q = level + dim
+    ids = [_reduced_angle_ids(quad.growth(k)) for k in range(1, level + 2)]
+    rule_w = [
+        [quad.cc_weights(quad.growth(k), domain, w) for k in range(1, level + 2)]
+        for w in per_dim_weight
+    ]
+    accum, terms = {}, []
+    for total in range(max(dim, q - dim + 1), q + 1):
+        coeff = (-1) ** (q - total) * math.comb(dim - 1, q - total)
+        for entries in quad._compositions(total, dim):
+            terms.append((quad.MultiIndex(entries), coeff))
+            for combo in itertools.product(*(range(quad.growth(k)) for k in entries)):
+                key = tuple(ids[k - 1][j] for k, j in zip(entries, combo))
+                w = coeff
+                for i, (k, j) in enumerate(zip(entries, combo)):
+                    w *= rule_w[i][k - 1][j]
+                accum[key] = accum.get(key, 0.0) + w
+    nodes = np.array(
+        [[quad._affine_to((a, b), quad._cos_pi_frac(n, d)) for n, d in key] for key in accum]
+    ).reshape(len(accum), dim)
+    order = np.lexsort(nodes.T[::-1])
+    return nodes[order], np.array(list(accum.values()))[order], tuple(terms)
+
+
+def _tilt(slope):
+    return dn.linear_tilt(1.0 - 0.5 * slope, 1.0 + 0.5 * slope).pdf
+
+
+@pytest.mark.parametrize(
+    "dim,level,weights,domain",
+    [
+        pytest.param(1, 0, None, (0.0, 1.0), id="d1-l0"),
+        pytest.param(1, 5, None, (0.0, 1.0), id="d1-l5"),
+        pytest.param(2, 6, None, (0.0, 1.0), id="d2-l6"),
+        pytest.param(3, 8, None, (0.0, 1.0), id="d3-l8"),
+        pytest.param(6, 5, _tilt(0.6), (0.0, 1.0), id="d6-l5-shared-weight"),
+        pytest.param(6, 5, [_tilt(0.1 * i) for i in range(6)], (0.0, 1.0), id="d6-l5-six-weights"),
+        pytest.param(10, 4, None, (0.0, 1.0), id="d10-l4"),
+        pytest.param(
+            3, 4, [lambda x: 1.0 + 0.1 * x, None, np.exp], (-1.0, 2.5), id="d3-l4-mixed-domain"
+        ),
+        # (2**3 + 1)**20 >= 2**63: index rows instead of one int64 code per node
+        pytest.param(20, 3, None, (0.0, 1.0), id="d20-l3-int64-fallback"),
+    ],
+)
+def test_smolyak_bitwise_equals_dict_assembly(dim, level, weights, domain):
+    nodes, wts, terms = dict_smolyak(dim, level, weights, domain)
+    grid = quad.smolyak(dim, level, weights=weights, domain=domain)
+    np.testing.assert_array_equal(grid.nodes, nodes)
+    np.testing.assert_array_equal(grid.weights, wts)
+    assert grid.combination_terms == terms
+
+
+def test_smolyak_solves_each_rule_once():
+    calls = []
+
+    def density(x):
+        calls.append(len(x))
+        return 0.5 + x
+
+    first = quad.smolyak(6, 3, weights=density)
+    assert len(calls) == 4  # one rule per 1-D level, shared by the six axes
+    again = quad.smolyak(6, 3, weights=[density] * 6)
+    assert len(calls) == 4
+    np.testing.assert_array_equal(again.weights, first.weights)
+
+
+def test_rule_cache_keeps_closures_apart():
+    def tilt(c):
+        return lambda x: 1.0 + c * (x - 0.5)
+
+    slopes = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    rules = [quad.cc_rule(5, (0.0, 1.0), tilt(c)) for c in slopes]
+    for c, rule in zip(slopes, rules):
+        np.testing.assert_array_equal(rule.weights, quad.cc_weights(5, (0.0, 1.0), tilt(c)))
+    assert len({r.weights.tobytes() for r in rules}) == len(rules)
+
+
+def test_rule_of_unhashable_weight_is_solved():
+    class Density:
+        __hash__ = None
+
+        def __call__(self, x):
+            return 0.5 + x
+
+    rule = quad.cc_rule(5, (0.0, 1.0), Density())
+    np.testing.assert_array_equal(rule.weights, quad.cc_weights(5, (0.0, 1.0), lambda x: 0.5 + x))
 
 
 def test_node_count_asymptotic_values():
