@@ -236,7 +236,12 @@ def _checked(name, kind, value):
         return math.nan
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ValueError(f"results field '{name}' must be {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"results field '{name}' is out of float range") from None
 
 
 def append_reports(path, reports):

@@ -234,8 +234,13 @@ def load_spec(path):
 
 
 def _density_from_spec(spec, dim):
-    axes = spec["per_axis"] if "per_axis" in spec else [spec] * dim
-    return product_density([make_density_1d(ax["family"], ax.get("params")) for ax in axes])
+    if "per_axis" in spec:
+        factors = [
+            make_density_1d(ax["family"], ax.get("params")) for ax in spec["per_axis"]
+        ]
+    else:
+        factors = [make_density_1d(spec["family"], spec.get("params")) for _ in range(dim)]
+    return product_density(factors)
 
 
 @contextlib.contextmanager

@@ -29,7 +29,7 @@ class FlowMap:
     field: object
     dim: int
     steps: int = DEFAULT_STEPS
-    # (snapshot, pushed row keys, their images); replaced, never mutated
+    # (snapshot, sorted keys of pushed rows, their images); replaced, never mutated
     _memo: tuple = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,20 +66,22 @@ class FlowMap:
             memo = (snapshot, np.empty(0, row_key), np.empty((0, self.dim)))
         _, known, images = memo
         x = np.ascontiguousarray(x)
-        keys = x.view(row_key).ravel()
-        _, row, inv = np.unique(
-            np.concatenate([known, keys]), return_index=True, return_inverse=True
+        uniq, first, inv = np.unique(
+            x.view(row_key).ravel(), return_index=True, return_inverse=True
         )
-        # known keys are distinct, so a known key's first index is its image
-        # row; unseen keys get the next rows in order of first appearance
-        new = np.flatnonzero(row >= len(known))
-        new = new[np.argsort(row[new])]
-        at = row[new] - len(known)
-        row[new] = len(known) + np.arange(len(new))
+        # the memo keeps its keys sorted, and images in the same order
+        at = np.searchsorted(known, uniq)
+        seen = at < len(known)
+        seen[seen] = known[at[seen]] == uniq[seen]
+        new = np.flatnonzero(~seen)
         if len(new):
-            images = np.concatenate([images, push(x[at])])
-            self._memo = (snapshot, np.concatenate([known, keys[at]]), images)
-        return images[row[inv.ravel()[len(known):]]]
+            order = np.argsort(first[new])  # push in order of first appearance
+            pushed = push(x[first[new][order]])[np.argsort(order)]
+            known = np.insert(known, at[new], uniq[new])
+            images = np.insert(images, at[new], pushed, axis=0)
+            self._memo = (snapshot, known, images)
+            at = np.searchsorted(known, uniq)
+        return images[at[inv.ravel()]]
 
 
 def _as_batch(x, dim):

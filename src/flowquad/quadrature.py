@@ -4,23 +4,23 @@ Univariate rules use the Chebyshev-extrema nodes on [-1, 1], mapped
 affinely to the requested interval.  Weights are solved from Chebyshev
 moment matching (closed-form moments for the uniform weight, reference
 quadrature for user densities), so every m-point rule integrates
-polynomials of degree < m exactly against its weight.  `cc_rule` solves
-each (point count, domain, weight) rule once and keeps it in a small
-cache.
+polynomials of degree < m exactly against its weight.  Moments are
+memoized on a digest of the density's values at the reference points,
+so equal densities on several axes, levels or calls share one solve.
 
 Sparse grids combine tensor rules over the admissible multi-index band
 with alternating binomial coefficients.  Every nested node of a grid
-lies on one dyadic lattice cos(pi j / N), so each tensor point is an
-integer code and coincident nodes are merged by exact integer
-comparison, never by comparing floats.
+lies on one dyadic lattice cos(pi j / N), so each tensor point is a row
+of integer lattice indices and coincident nodes are merged by exact
+integer comparison, never by comparing floats.
 
 The dense tensor lattice and tensor Gauss-Legendre rule here also serve
 the reference oracles and the bound probes of the other modules.
 """
 
 import functools
+import hashlib
 import math
-from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +30,10 @@ from .errors import EvaluationError, InvalidArgumentError, InvalidWeightError
 _GAUSS_PANEL_ORDER = 8
 # the fixed panel rule on [-1, 1] that every weighted moment computation uses
 _GAUSS_PANEL_X, _GAUSS_PANEL_W = np.polynomial.legendre.leggauss(_GAUSS_PANEL_ORDER)
+# (m, panels, digest of a density on the probe grid) -> its m moments; a
+# memo of a pure function, small, and emptied whole when full
+_MOMENTS = {}
+_MOMENTS_SIZE = 64
 
 
 def _cos_pi_frac(num, den):
@@ -94,7 +98,11 @@ def _uniform_chebyshev_moments(m):
 
 
 def _weighted_chebyshev_moments(weight, m, domain, panels):
-    """Moments of T_k against `weight` via composite Gauss-Legendre panels."""
+    """Moments of T_k against `weight` via composite Gauss-Legendre panels.
+
+    `weight` is evaluated on every call; the moments are memoized on a
+    digest of its values on the probe grid.
+    """
     a, b = domain
     edges = np.linspace(-1.0, 1.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -110,6 +118,10 @@ def _weighted_chebyshev_moments(weight, m, domain, panels):
         raise InvalidWeightError("weight function is negative on the probe grid")
     # Jacobian of the affine map folds the physical density into [-1, 1].
     dens = dens * (0.5 * (b - a))
+    key = (m, panels, hashlib.blake2b(dens).digest())
+    mom = _MOMENTS.get(key)
+    if mom is not None:
+        return mom.copy()
 
     mom = np.empty(m)
     t_prev = np.ones_like(pts)
@@ -120,7 +132,11 @@ def _weighted_chebyshev_moments(weight, m, domain, panels):
     for k in range(2, m):
         t_prev, t_curr = t_curr, 2.0 * pts * t_curr - t_prev
         mom[k] = np.dot(wts, dens * t_curr)
-    return mom
+    if len(_MOMENTS) >= _MOMENTS_SIZE:
+        _MOMENTS.clear()
+    _MOMENTS[key] = mom
+    return mom.copy()
+
 
 
 def _weights_from_moments(mom):
@@ -185,26 +201,16 @@ class Rule1D:
 
 
 def cc_rule(m, domain=(0.0, 1.0), weight=None, weight_id=None):
-    """The m-point Clenshaw-Curtis Rule1D on `domain`.
-
-    Rules are cached per (m, domain, weight, weight_id), so `weight` must
-    be pure; weights that compare equal count as one density, and an
-    unhashable one is solved on every call.  The cache holds its
-    callables, so their identities are never reused.
-    """
+    """Construct the m-point Clenshaw-Curtis Rule1D on `domain`."""
     if weight_id is None:
         weight_id = "uniform" if weight is None else "custom"
-    a, b = _check_domain(domain)
-    solve = _cached_rule if isinstance(weight, Hashable) else _solve_rule
-    return solve(m, a, b, weight, weight_id)
-
-
-def _solve_rule(m, a, b, weight, weight_id):
-    return Rule1D(nodes=cc_nodes(m, (a, b)), weights=cc_weights(m, (a, b), weight),
-                  domain=(a, b), weight_id=weight_id, point_count=m)
-
-
-_cached_rule = functools.lru_cache(maxsize=256)(_solve_rule)
+    return Rule1D(
+        nodes=cc_nodes(m, domain),
+        weights=cc_weights(m, domain, weight),
+        domain=tuple(domain),
+        weight_id=weight_id,
+        point_count=m,
+    )
 
 
 def lattice(axis, dim):
@@ -217,8 +223,12 @@ def lattice(axis, dim):
 def tensor_gauss(dim, points_per_axis):
     """Tensor Gauss-Legendre rule on [0, 1]^dim: (points, weights)."""
     gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
-    wt = functools.reduce(np.multiply.outer, [0.5 * gw] * dim)
-    return lattice(0.5 * (gx + 1.0), dim), wt.ravel()
+    gx = 0.5 * (gx + 1.0)
+    gw = 0.5 * gw
+    wt = gw
+    for _ in range(dim - 1):
+        wt = np.multiply.outer(wt, gw)
+    return lattice(gx, dim), wt.ravel()
 
 
 @dataclass(frozen=True)
@@ -242,7 +252,11 @@ def tensor_rule(index, per_dim_rules):
     per_dim_rules[i] must carry growth(index_i) points.
     Returns (nodes (M, d), weights (M,)).
     """
-    entries = (index if isinstance(index, MultiIndex) else MultiIndex(tuple(index))).entries
+    if isinstance(index, MultiIndex):
+        entries = index.entries
+    else:
+        entries = tuple(index)
+        index = MultiIndex(entries)
     if len(per_dim_rules) != len(entries):
         raise InvalidArgumentError(
             f"index has {len(entries)} entries but {len(per_dim_rules)} rules were given"
@@ -252,9 +266,14 @@ def tensor_rule(index, per_dim_rules):
             raise InvalidArgumentError(
                 f"rule {i} has {rule.point_count} points, expected growth({k}) = {growth(k)}"
             )
-    grids = np.meshgrid(*(r.nodes for r in per_dim_rules), indexing="ij")
-    w = functools.reduce(np.multiply.outer, (r.weights for r in per_dim_rules))
-    return np.stack([g.ravel() for g in grids], axis=-1), w.ravel()
+    node_axes = [r.nodes for r in per_dim_rules]
+    weight_axes = [r.weights for r in per_dim_rules]
+    grids = np.meshgrid(*node_axes, indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=-1)
+    w = weight_axes[0]
+    for axis in weight_axes[1:]:
+        w = np.multiply.outer(w, axis)
+    return nodes, w.ravel()
 
 
 @dataclass(frozen=True)
@@ -296,69 +315,70 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     """Assemble the sparse grid of the given dimension and sparsity level.
 
     `weights` is None (uniform), a single density callable used on every
-    axis, or a sequence of d per-axis density callables; they must be pure,
-    since `cc_rule` solves each univariate rule once.  The same rule
+    axis, or a sequence of d per-axis density callables.  The same rule
     family per axis is reused at every level, preserving nesting.
 
     Every node lies on the lattice cos(pi j / N)^d, N = max(2, 2**level),
-    so a tensor point is one mixed-radix int64 code (or its index row when
-    (N + 1)**d overflows int64).  Weights of equal codes are summed in
-    combination order; the node count equals the set union of the
-    contributing tensor grids, and nodes come out in lexicographic order.
+    so a tensor point is a row of integer lattice indices, and coincident
+    nodes are found by comparing those rows.  Weights of equal rows are
+    summed in combination order; the node count equals the set union of
+    the contributing tensor grids, and nodes come out in lexicographic
+    order.
     """
     a, b = _check_domain(domain)
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     if level < 0:
         raise InvalidArgumentError(f"level must be >= 0, got {level}")
-    per_dim_weight = [weights] * dim if weights is None or callable(weights) else list(weights)
-    if len(per_dim_weight) != dim:
-        raise InvalidArgumentError(f"got {len(per_dim_weight)} axis weights for dim {dim}")
+    if weights is None or callable(weights):
+        per_dim_weight = [weights] * dim
+    else:
+        per_dim_weight = list(weights)
+        if len(per_dim_weight) != dim:
+            raise InvalidArgumentError(
+                f"got {len(per_dim_weight)} axis weights for dim {dim}"
+            )
 
     q = level + dim
     rules = [[cc_rule(growth(k), (a, b), w) for k in range(1, level + 2)] for w in per_dim_weight]
     fine = max(2, 2**level)
-    radix = fine + 1
-    coded = radix**dim < 2**63
     # lattice indices of each 1-D level's nodes, ascending; level 1 is the midpoint
     positions = [np.array([fine // 2])] + [
         np.arange(2 ** (k - 1), -1, -1) * (fine >> (k - 1)) for k in range(2, level + 2)
     ]
 
-    terms, keys, parts = [], [], []
+    terms, rows, parts = [], [], []
     for total in range(max(dim, q - dim + 1), q + 1):
         coeff = (-1) ** (q - total) * math.comb(dim - 1, q - total)
         for entries in _compositions(total, dim):
             terms.append((MultiIndex(entries), coeff))
-            axes = [positions[k - 1] for k in entries]
+            term = np.empty([growth(k) for k in entries] + [dim], dtype=np.int64)
+            for i, k in enumerate(entries):  # axis i varies along tensor axis i
+                term[..., i] = positions[k - 1].reshape((-1,) + (1,) * (dim - 1 - i))
+            rows.append(term.reshape(-1, dim))
             # products in axis order from the coefficient, last axis fastest
             w_axes = (rules[i][k - 1].weights for i, k in enumerate(entries))
             parts.append(functools.reduce(np.multiply.outer, w_axes, float(coeff)).ravel())
-            if coded:
-                keys.append(functools.reduce(lambda c, j: np.add.outer(c * radix, j), axes).ravel())
-                continue
-            rows = np.empty([len(j) for j in axes] + [dim], dtype=np.int64)
-            for i, j in enumerate(axes):
-                rows[..., i] = j.reshape((-1,) + (1,) * (dim - 1 - i))
-            keys.append(rows.reshape(-1, dim))
 
-    keys = np.concatenate(keys)
-    if not coded:  # one opaque key per index row
-        keys = keys.view(np.dtype((np.void, keys.itemsize * dim))).ravel()
-    uniq, inv = np.unique(keys, return_inverse=True)
-    # bincount adds each code's weights in input order, i.e. combination order
+    rows = np.concatenate(rows)
+    # one opaque key per index row, so equal rows compare equal
+    uniq, inv = np.unique(rows.view(np.dtype((np.void, rows.itemsize * dim))), return_inverse=True)
+    # bincount adds each row's weights in input order, i.e. combination order
     wvec = np.bincount(inv.ravel(), weights=np.concatenate(parts))
-    if coded:
-        idx = uniq[:, None] // radix ** np.arange(dim - 1, -1, -1) % radix
-    else:
-        idx = uniq.view(np.int64).reshape(-1, dim)
-    table = np.array([_affine_to((a, b), _cos_pi_frac(j, fine)) for j in range(radix)])
-    nodes = table[idx]
+    table = np.array([_affine_to((a, b), _cos_pi_frac(j, fine)) for j in range(fine + 1)])
+    nodes = table[uniq.view(rows.dtype).reshape(-1, dim)]
     order = np.lexsort(nodes.T[::-1])
+    nodes = nodes[order]
+    wvec = wvec[order]
+    weight_id = "uniform" if weights is None else "custom"
     return SparseGrid(
-        dim=dim, level=level, nodes=nodes[order], weights=wvec[order],
-        combination_terms=tuple(terms), domain=(a, b),
-        weight_id="uniform" if weights is None else "custom",
+        dim=dim,
+        level=level,
+        nodes=nodes,
+        weights=wvec,
+        combination_terms=tuple(terms),
+        domain=(a, b),
+        weight_id=weight_id,
     )
 
 

@@ -329,6 +329,8 @@ def _report_of(text):
                      id="report-float-is-bool"),
         pytest.param(_report_of(json.dumps({**_REPORT, "metadata": []}) + "\n"),
                      id="report-metadata-not-dict"),
+        pytest.param(_report_of(json.dumps({**_REPORT, "total_error": 10**400}) + "\n"),
+                     id="report-float-out-of-range"),
         pytest.param(_report_of("[1, 2]\n"), id="report-line-not-an-object"),
     ],
 )

@@ -281,7 +281,7 @@ def _reduced_angle_ids(m):
 def dict_smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     """Reference assembly: every tensor point of every combination term,
     keyed by its reduced angle fractions and summed in a dict in term
-    order.  Univariate weights are solved here, bypassing the rule cache."""
+    order."""
     a, b = domain
     per_dim_weight = [weights] * dim if weights is None or callable(weights) else weights
     q = level + dim
@@ -325,8 +325,8 @@ def _tilt(slope):
         pytest.param(
             3, 4, [lambda x: 1.0 + 0.1 * x, None, np.exp], (-1.0, 2.5), id="d3-l4-mixed-domain"
         ),
-        # (2**3 + 1)**20 >= 2**63: index rows instead of one int64 code per node
-        pytest.param(20, 3, None, (0.0, 1.0), id="d20-l3-int64-fallback"),
+        # (2**3 + 1)**20 >= 2**63: too many lattice points for one int64 code per node
+        pytest.param(20, 3, None, (0.0, 1.0), id="d20-l3"),
     ],
 )
 def test_smolyak_bitwise_equals_dict_assembly(dim, level, weights, domain):
@@ -337,40 +337,45 @@ def test_smolyak_bitwise_equals_dict_assembly(dim, level, weights, domain):
     assert grid.combination_terms == terms
 
 
-def test_smolyak_solves_each_rule_once():
+def _tilt_closure(c):
+    return lambda x: 1.0 + c * (x - 0.5)
+
+
+def test_moments_are_memoized_on_density_values():
+    slopes = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    fresh = []
+    for c in slopes:
+        quad._MOMENTS.clear()
+        fresh.append(quad.cc_weights(5, (0.0, 1.0), _tilt_closure(c)))
+    for _ in range(2):  # the second pass reads every rule from the memo
+        for c, w in zip(slopes, fresh):
+            np.testing.assert_array_equal(quad.cc_rule(5, (0.0, 1.0), _tilt_closure(c)).weights, w)
+    assert len({w.tobytes() for w in fresh}) == len(slopes)
+
+
+def test_equal_densities_share_one_solve_and_are_evaluated_every_call():
     calls = []
 
     def density(x):
         calls.append(len(x))
-        return 0.5 + x
+        return np.exp(x)
 
-    first = quad.smolyak(6, 3, weights=density)
-    assert len(calls) == 4  # one rule per 1-D level, shared by the six axes
-    again = quad.smolyak(6, 3, weights=[density] * 6)
-    assert len(calls) == 4
-    np.testing.assert_array_equal(again.weights, first.weights)
-
-
-def test_rule_cache_keeps_closures_apart():
-    def tilt(c):
-        return lambda x: 1.0 + c * (x - 0.5)
-
-    slopes = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    rules = [quad.cc_rule(5, (0.0, 1.0), tilt(c)) for c in slopes]
-    for c, rule in zip(slopes, rules):
-        np.testing.assert_array_equal(rule.weights, quad.cc_weights(5, (0.0, 1.0), tilt(c)))
-    assert len({r.weights.tobytes() for r in rules}) == len(rules)
+    quad._MOMENTS.clear()
+    grid = quad.smolyak(6, 3, weights=[density] + [_tilt_closure(1.0) for _ in range(5)])
+    assert len(calls) == 4  # one evaluation per level for the first axis
+    # the five equal closures share one solve per level with each other
+    assert len(quad._MOMENTS) == 2 * 4
+    again = quad.smolyak(6, 3, weights=[density] + [_tilt_closure(1.0) for _ in range(5)])
+    assert len(calls) == 8 and len(quad._MOMENTS) == 2 * 4
+    np.testing.assert_array_equal(again.weights, grid.weights)
 
 
-def test_rule_of_unhashable_weight_is_solved():
-    class Density:
-        __hash__ = None
-
-        def __call__(self, x):
-            return 0.5 + x
-
-    rule = quad.cc_rule(5, (0.0, 1.0), Density())
-    np.testing.assert_array_equal(rule.weights, quad.cc_weights(5, (0.0, 1.0), lambda x: 0.5 + x))
+def test_memoized_moments_are_not_shared_with_callers():
+    quad._MOMENTS.clear()
+    first = quad.cc_weights(1, (0.0, 1.0), np.exp)  # the 1-point weight is the moment itself
+    expected = first.copy()
+    first[0] = -1.0
+    np.testing.assert_array_equal(quad.cc_weights(1, (0.0, 1.0), np.exp), expected)
 
 
 def test_node_count_asymptotic_values():
