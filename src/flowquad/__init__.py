@@ -1,7 +1,5 @@
 """Sparse grid quadrature composed with learned transport flows on [0,1]^d."""
 
-from . import analysis, cli, densities, errors, flow, network, quadrature, training, transport
-
 __all__ = [
     "analysis",
     "cli",

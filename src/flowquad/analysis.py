@@ -18,6 +18,8 @@ from .errors import InvalidArgumentError, UnsupportedDimensionError
 from .flow import flow_forward, log_pushforward_density
 from .quadrature import kahan_sum, lattice, tensor_gauss
 
+ORACLE_BLOCK_ROWS = 2048  # rows per flow_forward call of the dense oracle
+
 
 @dataclass(frozen=True)
 class QoI:
@@ -81,8 +83,10 @@ def pullback_integral_oracle(fm, qoi, source, points_per_axis=129):
     if fm.dim > 3:
         raise UnsupportedDimensionError("dense reference grid is limited to dim <= 3")
     pts, wt = tensor_gauss(fm.dim, points_per_axis)
-    mapped = flow_forward(fm, pts)
-    return float(np.dot(wt, qoi.evaluate(mapped) * source.evaluate(pts)))
+    # bounded blocks keep the RK4 temporaries small; none is a single row
+    blocks = np.array_split(pts, -(-len(pts) // ORACLE_BLOCK_ROWS))
+    vals = [qoi.evaluate(flow_forward(fm, b)) * source.evaluate(b) for b in blocks]
+    return float(np.dot(wt, np.concatenate(vals)))
 
 
 # ---------------------------------------------------------------------------

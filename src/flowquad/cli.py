@@ -21,7 +21,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from . import analysis as an
@@ -408,6 +407,8 @@ def cmd_calc(kind, params, print_fn=print):
     v = _calc_values(kind, params)
     try:
         if kind == "constants":
+            import mpmath as mp
+
             got = capacity_constants(
                 _whole(v, "L"), _whole(v, "W"), _whole(v, "d"), c_d=v["c_d"], c_dkl=v["c_dkl"]
             )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .quadrature import lattice, tensor_gauss
 
 
@@ -196,13 +196,6 @@ class Density:
     factors: tuple = None
     name: str = "custom"
     lipschitz: float = math.inf
-
-    def log_pdf(self, x):
-        vals = self.evaluate(np.atleast_2d(np.asarray(x, dtype=float)))
-        if np.any(vals <= 0):
-            bad = np.atleast_2d(x)[np.argmax(vals <= 0)]
-            raise DomainError(f"density is not positive at {bad}", location=bad)
-        return np.log(vals)
 
     def grad_log_pdf(self, x):
         """Gradient of log density; defined for factorized densities."""

@@ -49,8 +49,10 @@ class FlowMap:
         Rows this map has not pushed under the current parameter snapshot
         go through `push(rows) -> images` once, in order of first
         appearance; the rest are read back.  Rows are keyed by their exact
-        bytes, so -0.0 and 0.0 are different rows.  A row's image does not
-        depend on the batch it was pushed in, so the result equals push(x).
+        bytes, so -0.0 and 0.0 are different rows.  A row's image may
+        differ in the last bits with the batch it was pushed in, so the
+        result need not be bitwise push(x); a fixed sequence of calls is
+        byte-reproducible.
         The snapshot is the field object, steps, dim, the bytes of
         field.theta and the field's mask flag; any change drops every
         remembered image.  Fields without `theta` are pushed whole on
@@ -169,13 +171,8 @@ def _aug_rhs(fm, w, s):
     return -fm.field(w, t), fm.field.divergence(w, t)
 
 
-def _log_density_sweep(fm, source, w, stages=None):
-    """Integrate (position, divergence integral) backward from w with RK4.
-
-    Returns the clipped preimage and the log-densities; `stages` is passed
-    to `_rk4`.
-    """
-    z0, acc, _ = _rk4(lambda u, s: _aug_rhs(fm, u, s), w, fm.steps, stages)
+def _log_source(source, z0):
+    """Source log-density at the preimages z0; it must not vanish there."""
     vals = source.evaluate(z0)
     if np.any(vals <= 0.0):
         bad = int(np.argmax(vals <= 0.0))
@@ -183,7 +180,13 @@ def _log_density_sweep(fm, source, w, stages=None):
             f"source density vanishes at preimage {z0[bad]} (sample {bad})",
             location=z0[bad],
         )
-    return z0, np.log(vals) - acc
+    return np.log(vals)
+
+
+def _log_density_sweep(fm, source, w):
+    """Clipped preimages of w and their log-densities, in one backward RK4 sweep."""
+    z0, acc, _ = _rk4(lambda u, s: _aug_rhs(fm, u, s), w, fm.steps)
+    return z0, _log_source(source, z0) - acc
 
 
 def log_pushforward_density(fm, source, y):
@@ -216,28 +219,37 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     c = np.asarray(sample_weights, dtype=float).reshape(batch, 1)
 
     h = 1.0 / fm.steps
-    stages = []  # four stage inputs per step
-    z0, logp = _log_density_sweep(fm, source, w, stages)
+    stages = []  # four stage inputs per step of the value-only forward sweep
+    z0 = _rk4(lambda u, s: (-net(u, 1.0 - s), 0.0), w, fm.steps, stages)[0]
+    log_source = _log_source(source, z0)
 
     # reverse sweep: lam tracks the cotangent on the running position,
     # the divergence integral contributes a constant -c per sample
     lam = c * source.grad_log_pdf(z0)
     lam_d = -c.ravel()
     grad = np.zeros_like(net.theta)
+    divs = [None] * (4 * fm.steps)  # read from the reverse sweep's tangent caches
 
-    def stage_vjp(u, s_stage, alpha, delta):
-        _, cache = net.forward_with_cache(u, 1.0 - s_stage, need_tangents=True)
+    def stage_vjp(i, s_stage, alpha, delta):
+        _, cache = net.forward_with_cache(stages[i], 1.0 - s_stage, need_tangents=True)
+        divs[i] = cache["div"]
         return net.vjp(cache, lam_v=-alpha, lam_div=delta)
 
     for n in range(fm.steps - 1, -1, -1):
-        s = n * h
-        u1, u2, u3, u4 = stages[4 * n : 4 * n + 4]
-        g4, gu4 = stage_vjp(u4, s + h, (h / 6.0) * lam, (h / 6.0) * lam_d)
-        g3, gu3 = stage_vjp(u3, s + 0.5 * h, (h / 3.0) * lam + h * gu4, (h / 3.0) * lam_d)
-        g2, gu2 = stage_vjp(u2, s + 0.5 * h, (h / 3.0) * lam + 0.5 * h * gu3, (h / 3.0) * lam_d)
-        g1, gu1 = stage_vjp(u1, s, (h / 6.0) * lam + 0.5 * h * gu2, (h / 6.0) * lam_d)
+        s, i = n * h, 4 * n
+        g4, gu4 = stage_vjp(i + 3, s + h, (h / 6.0) * lam, (h / 6.0) * lam_d)
+        g3, gu3 = stage_vjp(i + 2, s + 0.5 * h, (h / 3.0) * lam + h * gu4, (h / 3.0) * lam_d)
+        g2, gu2 = stage_vjp(i + 1, s + 0.5 * h, (h / 3.0) * lam + 0.5 * h * gu3, (h / 3.0) * lam_d)
+        g1, gu1 = stage_vjp(i, s, (h / 6.0) * lam + 0.5 * h * gu2, (h / 6.0) * lam_d)
         lam = lam + gu1 + gu2 + gu3 + gu4
         grad += g1 + g2 + g3 + g4
+
+    # the divergence integral in forward step order, summed as _rk4 sums it
+    acc = np.zeros(batch)
+    for n in range(fm.steps):
+        d1, d2, d3, d4 = divs[4 * n : 4 * n + 4]
+        acc = acc + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    logp = log_source - acc
 
     return (float(logp[0]) if single else logp), grad
 

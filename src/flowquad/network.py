@@ -24,7 +24,6 @@ closed-form capacity and Lipschitz constant calculators.
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalOverflowError
@@ -477,6 +476,8 @@ def capacity_constants(hidden_depth, width, dim, c_d=1.0, c_dkl=1.0, dps=50):
     exponential envelopes overflow any fixed-size float in linear scale.
     c_d and c_dkl are the non-explicit constants of the envelope bounds.
     """
+    import mpmath as mp
+
     L, W, d = hidden_depth, width, dim
     if L < 1 or W < 1 or d < 1:
         raise InvalidArgumentError("hidden_depth, width and dim must all be >= 1")

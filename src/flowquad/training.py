@@ -10,7 +10,6 @@ Also houses the capacity schedule (width/depth/resolution as functions
 of the sample size) and the sample-size threshold calculator.
 """
 
-import json
 import math
 import time
 import warnings
@@ -40,7 +39,6 @@ class TrainConfig:
     c_d: float = 1.0
     integrator_steps: int = 16
     holdout_fraction: float = 0.2
-    telemetry_path: str = None
 
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
@@ -124,63 +122,46 @@ def train_erm(config, samples, source):
         fm = FlowMap(net, dim=dim, steps=config.integrator_steps)
         return -float(np.mean(log_pushforward_density(fm, source, points)))
 
-    telemetry = open(config.telemetry_path, "a") if config.telemetry_path else None
     nll_trace = []
     grad_norms = []
     best_nll = math.inf
     best_theta = net.theta.copy()
     best_epoch = -1
-    try:
-        for epoch in range(config.max_epochs):
-            order = rng.permutation(len(train))
-            epoch_gnorm = 0.0
-            for start in range(0, len(train), config.batch_size):
-                batch = train[order[start : start + config.batch_size]]
-                loss, grad = nll_with_gradient(net, batch, source, config.integrator_steps)
-                if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-                    raise TrainingFailureError(
-                        f"non-finite loss/gradient in epoch {epoch}", epoch=epoch
-                    )
-                if config.optimizer == "adam":
-                    adam_t += 1
-                    adam_m = 0.9 * adam_m + 0.1 * grad
-                    adam_v = 0.999 * adam_v + 0.001 * grad * grad
-                    mhat = adam_m / (1 - 0.9**adam_t)
-                    vhat = adam_v / (1 - 0.999**adam_t)
-                    net.theta[:] -= lr * mhat / (np.sqrt(vhat) + 1e-8)
-                else:
-                    vel = config.momentum * vel - lr * grad
-                    net.theta[:] += vel
-                net.project_theta()
-                epoch_gnorm = max(epoch_gnorm, float(np.linalg.norm(grad)))
-
-            epoch_nll = full_nll(train)
-            if not math.isfinite(epoch_nll):
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(len(train))
+        epoch_gnorm = 0.0
+        for start in range(0, len(train), config.batch_size):
+            batch = train[order[start : start + config.batch_size]]
+            loss, grad = nll_with_gradient(net, batch, source, config.integrator_steps)
+            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
                 raise TrainingFailureError(
-                    f"non-finite training NLL in epoch {epoch}", epoch=epoch
+                    f"non-finite loss/gradient in epoch {epoch}", epoch=epoch
                 )
-            nll_trace.append(epoch_nll)
-            grad_norms.append(epoch_gnorm)
-            if epoch_nll < best_nll:
-                best_nll = epoch_nll
-                best_theta = net.theta.copy()
-                best_epoch = epoch
-            lr *= config.lr_decay
-            if telemetry:
-                telemetry.write(
-                    json.dumps(
-                        {
-                            "epoch": epoch,
-                            "nll": epoch_nll,
-                            "grad_norm": epoch_gnorm,
-                            "wall_time": time.perf_counter() - t_start,
-                        }
-                    )
-                    + "\n"
-                )
-    finally:
-        if telemetry:
-            telemetry.close()
+            if config.optimizer == "adam":
+                adam_t += 1
+                adam_m = 0.9 * adam_m + 0.1 * grad
+                adam_v = 0.999 * adam_v + 0.001 * grad * grad
+                mhat = adam_m / (1 - 0.9**adam_t)
+                vhat = adam_v / (1 - 0.999**adam_t)
+                net.theta[:] -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+            else:
+                vel = config.momentum * vel - lr * grad
+                net.theta[:] += vel
+            net.project_theta()
+            epoch_gnorm = max(epoch_gnorm, float(np.linalg.norm(grad)))
+
+        epoch_nll = full_nll(train)
+        if not math.isfinite(epoch_nll):
+            raise TrainingFailureError(
+                f"non-finite training NLL in epoch {epoch}", epoch=epoch
+            )
+        nll_trace.append(epoch_nll)
+        grad_norms.append(epoch_gnorm)
+        if epoch_nll < best_nll:
+            best_nll = epoch_nll
+            best_theta = net.theta.copy()
+            best_epoch = epoch
+        lr *= config.lr_decay
 
     net.set_theta(best_theta)
     hold_gap = 0.0

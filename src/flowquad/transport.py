@@ -14,9 +14,6 @@ driving points along that interpolation.
 
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (
     InvalidArgumentError,
@@ -37,6 +34,8 @@ class _MarginalTables:
     """
 
     def __init__(self, density, resolution):
+        from scipy.integrate import cumulative_simpson, simpson
+
         self.dim = density.dim
         self.grid = np.linspace(0.0, 1.0, resolution)
         pts = lattice(self.grid, self.dim)
@@ -47,8 +46,6 @@ class _MarginalTables:
         for k in range(self.dim, 0, -1):
             self.cumulative[k] = cumulative_simpson(hat, x=self.grid, axis=k - 1, initial=0.0)
             if k > 1:
-                from scipy.integrate import simpson
-
                 hat = simpson(hat, x=self.grid, axis=k - 1)
 
     def column(self, k, prefix):
@@ -64,11 +61,16 @@ class _MarginalTables:
         return arr / total
 
     def cdf(self, k, x, prefix):
+        from scipy.interpolate import PchipInterpolator
+
         col = self.column(k, prefix)
         val = PchipInterpolator(self.grid, col)(np.clip(x, 0.0, 1.0))
         return float(np.clip(val, 0.0, 1.0))
 
     def quantile(self, k, u, prefix):
+        from scipy.interpolate import PchipInterpolator
+        from scipy.optimize import brentq
+
         col = self.column(k, prefix)
         if u <= col[0]:
             return 0.0
@@ -178,6 +180,8 @@ class KrTransport:
         return s * self.kr_map(x) + (1.0 - s) * x
 
     def _displacement_inverse_with_map(self, y, s):
+        from scipy.optimize import brentq
+
         y = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
         if s == 0.0:
             return y.copy(), self.kr_map(y)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flowquad
 from flowquad import cli
 from flowquad.errors import ConfigurationError
 from flowquad.quadrature import cc_nodes, cc_weights, growth, read_grid
@@ -175,6 +178,49 @@ def test_calc_schedule_and_threshold_and_constants():
 
 def test_cli_calc_exit_ok():
     assert cli.main(["calc", "schedule", "n=1e6", "beta=0.25"]) == 0
+
+
+def _python(args, tmp_path):
+    """Run `python args` in a fresh process that imports this flowquad."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flowquad.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+_FOOTPRINT = """
+import sys
+from flowquad import cli
+spec = sys.argv[1]
+codes = [cli.main(["grid", "--spec", spec, "--out", "g"]),
+         cli.main(["run", "--spec", spec, "--out", "r"]),
+         cli.main(["report", "--results", "r/results.jsonl"])]
+print(codes, sorted(m for m in ("scipy", "mpmath") if m in sys.modules))
+"""
+
+
+def test_grid_run_report_import_neither_scipy_nor_mpmath(tmp_path):
+    payload = spec_payload(grid={"levels": [1, 2]})
+    payload["training"].update(sample_size=32, batch_size=32, max_epochs=1,
+                               width=4, integrator_steps=4)
+    done = _python(["-c", _FOOTPRINT, write_spec(tmp_path, payload)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert "RuntimeWarning" not in done.stderr
+
+
+def test_module_entry_point_prints_constants_without_warning(tmp_path):
+    done = _python(["-m", "flowquad.cli", "calc", "constants", "L=2", "W=4", "d=2"], tmp_path)
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == [
+        "log Lip0        = 40.4381025438",
+        "log Lip1        = 52.6270748077",
+        "log C           = 5.25749537203",
+        "log Lbar bound  = 1.15792089237e+77",
+        "log D bound     = 1.15792089237e+77",
+    ]
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_report_command(tmp_path):

@@ -125,17 +125,6 @@ def test_identity_target_reaches_source_entropy():
     assert res.final_nll <= oracle + 0.05
 
 
-def test_telemetry_lines(tmp_path):
-    path = tmp_path / "telemetry.jsonl"
-    samples = np.random.default_rng(8).uniform(size=(64, 1))
-    train_erm(quick_config(telemetry_path=str(path)), samples, dn.uniform_density(1))
-    import json
-
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(lines) == 3
-    assert set(lines[0]) == {"epoch", "nll", "grad_norm", "wall_time"}
-
-
 # ---------------------------------------------------------------------------
 # adaptive schedule
 # ---------------------------------------------------------------------------
