@@ -42,11 +42,15 @@ def check_qoi_bound(qoi, dim, points_per_axis=33):
 
 
 def make_qoi(family, dim, params=None):
-    params = params or {}
+    params = dict(params or {})
+    axis = params.pop("axis", 0) if family == "coordinate" else 0
+    if params:
+        raise InvalidArgumentError(f"qoi family '{family}' does not take {sorted(params)}")
     if family == "coordinate":
-        axis = int(params.get("axis", 0))
-        if not 0 <= axis < dim:
-            raise InvalidArgumentError(f"coordinate axis {axis} outside 0..{dim - 1}")
+        if not (float(axis).is_integer() and 0 <= axis < dim):
+            raise InvalidArgumentError(f"coordinate axis must be an integer in 0..{dim - 1}, "
+                                       f"got {axis}")
+        axis = int(axis)
         return QoI(lambda x: x[:, axis], sup_norm=1.0, name=f"coordinate[{axis}]")
     if family == "product":
         return QoI(lambda x: np.prod(x, axis=1), sup_norm=1.0, name="product")

@@ -7,9 +7,10 @@ Subcommands:
   calc    evaluate the closed-form calculators (constants | threshold | schedule)
   report  pretty-print a results file, optionally re-exporting the CSV
 
-Experiment specs are JSON files with a fixed key tree; unknown keys are
-hard errors so typos cannot silently change an experiment.  Every output
-byte is determined by (spec, seed).
+Experiment specs are JSON files checked against one key table, _SCHEMA;
+unknown keys, and family parameters that a family's constructor does not
+take, are hard errors so typos cannot silently change an experiment.
+Every output byte is determined by (spec, seed).
 """
 
 import argparse
@@ -47,21 +48,40 @@ EXIT_INTEGRATION = 4
 
 EVAL_FLOW_STEPS = 64
 
-_DENSITY_KEYS = {"family", "params", "per_axis"}
-# every training key with the JSON type its value must have
-_TRAINING_TYPES = {
-    "sample_size": int, "batch_size": int, "max_epochs": int, "learning_rate": float,
-    "lr_decay": float, "momentum": float, "optimizer": str, "hidden_depth": int,
-    "width": int, "adaptive": bool, "beta": float, "c_d": float,
-    "integrator_steps": int, "holdout_fraction": float,
+# every spec key path -> (JSON type, (low, high) bounds or None, required).
+# A '*' segment matches any key and '[]' any list entry; float means a
+# finite number, and bounds mean low <= value < high (high None: no cap).
+_SCHEMA = {
+    "": (dict, None, False),
+    "name": (str, None, True),
+    "dim": (int, (1, None), True),
+    "seed": (int, (0, None), False),
+    "qoi": (dict, None, True),
+    "qoi.family": (str, None, True),
+    "qoi.params": (dict, None, False),
+    "qoi.params.*": (float, None, False),
+    "grid": (dict, None, True),
+    "grid.levels": (list, None, True),
+    "grid.levels[]": (int, (0, None), False),
+    "training": (dict, None, False),
 }
-# smallest allowed value of the integer training keys; width is checked
-# against the dimension
-_TRAINING_MIN = {
-    "sample_size": 1, "batch_size": 1, "max_epochs": 0, "hidden_depth": 1,
-    "integrator_steps": 1,
-}
-_TOP_KEYS = {"name", "dim", "seed", "source", "target", "qoi", "grid", "training"}
+for _part in ("source", "target"):
+    _SCHEMA[f"{_part}.per_axis"] = (list, None, False)
+    for _axis, _required in ((_part, True), (f"{_part}.per_axis[]", False)):
+        _SCHEMA[_axis] = (dict, None, _required)
+        # the family is required unless per_axis is given; parse_spec checks it
+        _SCHEMA[f"{_axis}.family"] = (str, None, False)
+        _SCHEMA[f"{_axis}.params"] = (dict, None, False)
+        _SCHEMA[f"{_axis}.params.*"] = (float, None, False)
+# the training keys are TrainConfig's fields, typed by their annotations;
+# width is checked against the dimension and the rest by TrainConfig
+_SCHEMA.update(
+    (f"training.{f.name}", (f.type, {
+        "sample_size": (1, None), "batch_size": (1, None), "max_epochs": (0, None),
+        "hidden_depth": (1, None), "integrator_steps": (1, None), "holdout_fraction": (0, 1),
+    }.get(f.name), False))
+    for f in dataclasses.fields(TrainConfig) if f.name != "seed"
+)
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", dict: "an object", list: "a list"}
 
@@ -78,22 +98,6 @@ class ExperimentSpec:
     training: dict = field(default_factory=dict)
 
 
-def _reject_unknown(mapping, allowed, path):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigurationError(
-                f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'",
-                field=f"{path}.{key}" if path else key,
-            )
-
-
-def _require(mapping, key, path):
-    if key not in mapping:
-        where = f"{path}.{key}" if path else key
-        raise ConfigurationError(f"missing required key '{where}'", field=where)
-    return mapping[key]
-
-
 def _has_type(value, kind):
     # JSON true/false are Python bools, which are also ints
     if kind is int:
@@ -104,80 +108,46 @@ def _has_type(value, kind):
     return isinstance(value, kind)
 
 
-def _typed(value, kind, where, minimum=None):
-    """value, after checking its type and lower bound."""
+def _walk(value, where, row):
+    """Check `value`, found at key path `where`, against the schema row
+    `row`, then everything below it: types, bounds, unknown and missing keys."""
+    kind, bounds, _ = _SCHEMA[row]
     if not _has_type(value, kind):
         raise ConfigurationError(
             f"'{where}' must be {_TYPE_NAMES[kind]}, got {value!r}", field=where
         )
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"'{where}' must be >= {minimum}, got {value}", field=where)
-    return value
-
-
-def _check_params(spec, path):
-    """The optional 'params' object of a family spec: numbers only."""
-    params = _typed(spec.get("params", {}), dict, f"{path}.params")
-    for key, value in params.items():
-        _typed(value, float, f"{path}.params.{key}")
-    return params
-
-
-def _check_density_spec(spec, dim, path):
-    _typed(spec, dict, path)
-    _reject_unknown(spec, _DENSITY_KEYS, path)
-    if "per_axis" not in spec:
-        _check_family(spec, path)
+    if bounds is not None:
+        low, high = bounds
+        if value < low or (high is not None and value >= high):
+            span = f"be >= {low}" if high is None else f"lie in [{low}, {high})"
+            raise ConfigurationError(f"'{where}' must {span}, got {value}", field=where)
+    if kind is list:
+        for i, item in enumerate(value):
+            _walk(item, f"{where}[{i}]", f"{row}[]")
+    if kind is not dict:
         return
-    axes = _typed(spec["per_axis"], list, f"{path}.per_axis")
-    if len(axes) != dim:
-        raise ConfigurationError(
-            f"'{path}.per_axis' needs {dim} entries, got {len(axes)}",
-            field=f"{path}.per_axis",
-        )
-    for i, ax in enumerate(axes):
-        where = f"{path}.per_axis[{i}]"
-        _typed(ax, dict, where)
-        _reject_unknown(ax, {"family", "params"}, where)
-        _check_family(ax, where)
+    prefix = f"{row}." if row else ""
+    for key, item in value.items():
+        path = f"{where}.{key}" if row else key
+        child = f"{prefix}{key}"
+        if not (isinstance(key, str) and key.isidentifier() and child in _SCHEMA):
+            child = f"{prefix}*"
+        if child not in _SCHEMA:
+            raise ConfigurationError(f"unknown key '{path}'", field=path)
+        _walk(item, path, child)
+    for child, (_, _, required) in _SCHEMA.items():
+        parent, _, key = child.rpartition(".")
+        if required and parent == row and key not in value:
+            path = f"{where}.{key}" if row else key
+            raise ConfigurationError(f"missing required key '{path}'", field=path)
 
 
-def _check_family(spec, path):
-    """A univariate density spec: a known family with valid parameters."""
-    family = _typed(_require(spec, "family", path), str, f"{path}.family")
+def _built(where, make, *args):
+    """make(*args), its InvalidArgumentError reported against `where`."""
     try:
-        make_density_1d(family, _check_params(spec, path))
+        return make(*args)
     except InvalidArgumentError as exc:
-        raise ConfigurationError(f"'{path}': {exc}", field=path) from None
-
-
-def _check_name(name):
-    # the name becomes part of the checkpoint file name inside the output
-    # directory, so it must be one plain path component
-    _typed(name, str, "name")
-    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-        raise ConfigurationError(
-            f"'name' must be a plain file name without path separators, got {name!r}",
-            field="name",
-        )
-    return name
-
-
-def _check_training(training, dim, seed):
-    _typed(training, dict, "training")
-    _reject_unknown(training, _TRAINING_TYPES, "training")
-    for key, value in training.items():
-        minimum = dim + 1 if key == "width" else _TRAINING_MIN.get(key)
-        _typed(value, _TRAINING_TYPES[key], f"training.{key}", minimum)
-    if not 0.0 <= training.get("holdout_fraction", 0.0) < 1.0:
-        raise ConfigurationError(
-            "'training.holdout_fraction' must lie in [0, 1)", field="training.holdout_fraction"
-        )
-    try:
-        _train_config(training, seed)
-    except InvalidArgumentError as exc:
-        raise ConfigurationError(f"'training': {exc}", field="training") from None
-    return training
+        raise ConfigurationError(f"'{where}': {exc}", field=where) from None
 
 
 def parse_spec(payload):
@@ -188,35 +158,40 @@ def parse_spec(payload):
     if isinstance(payload, str):
         try:
             payload = json.loads(payload)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, or nested too deep
             raise ConfigurationError(f"spec is not valid JSON: {exc}", field="<root>")
-    _typed(payload, dict, "<root>")
-    _reject_unknown(payload, _TOP_KEYS, "")
-    name = _check_name(_require(payload, "name", ""))
-    dim = _typed(_require(payload, "dim", ""), int, "dim", 1)
-    seed = _typed(payload.get("seed", 0), int, "seed", 0)
-    source = _require(payload, "source", "")
-    target = _require(payload, "target", "")
-    qoi = _typed(_require(payload, "qoi", ""), dict, "qoi")
-    grid = _typed(_require(payload, "grid", ""), dict, "grid")
-    _check_density_spec(source, dim, "source")
-    _check_density_spec(target, dim, "target")
-    _reject_unknown(qoi, {"family", "params"}, "qoi")
-    qoi_family = _typed(_require(qoi, "family", "qoi"), str, "qoi.family")
-    try:
-        an.make_qoi(qoi_family, dim, _check_params(qoi, "qoi"))
-    except InvalidArgumentError as exc:
-        raise ConfigurationError(f"'qoi': {exc}", field="qoi") from None
-    _reject_unknown(grid, {"levels"}, "grid")
-    levels = _typed(_require(grid, "levels", "grid"), list, "grid.levels")
-    if not levels:
+    _walk(payload, "<root>", "")
+    name, dim, seed = payload["name"], payload["dim"], payload.get("seed", 0)
+    # the name becomes part of the checkpoint file name inside the output
+    # directory, so it must be one plain path component
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigurationError(f"'name' must be a plain file name without path "
+                                 f"separators, got {name!r}", field="name")
+    if not payload["grid"]["levels"]:
         raise ConfigurationError("'grid.levels' must be a non-empty list", field="grid.levels")
-    for level in levels:
-        _typed(level, int, "grid.levels", 0)
-    training = _check_training(payload.get("training", {}), dim, seed)
+    for part in ("source", "target"):
+        spec = payload[part]
+        if "per_axis" in spec and (len(spec["per_axis"]) != dim or len(spec) > 1):
+            raise ConfigurationError(f"'{part}.per_axis' needs {dim} entries and nothing "
+                                     f"beside it", field=f"{part}.per_axis")
+        for i, ax in enumerate(spec.get("per_axis", [spec])):
+            where = f"{part}.per_axis[{i}]" if "per_axis" in spec else part
+            if "family" not in ax:
+                raise ConfigurationError(f"missing required key '{where}.family'",
+                                         field=f"{where}.family")
+            _built(where, make_density_1d, ax["family"], ax.get("params"))
+    _built("qoi", an.make_qoi, payload["qoi"]["family"], dim, payload["qoi"].get("params"))
+    training = payload.get("training", {})
+    if training.get("width", dim + 1) < dim + 1:
+        raise ConfigurationError(
+            f"'training.width' must be >= {dim + 1}, got {training['width']}",
+            field="training.width",
+        )
+    _built("training", _train_config, training, seed)
     return ExperimentSpec(
-        name=name, dim=dim, seed=seed, source=dict(source), target=dict(target),
-        qoi=dict(qoi), grid=dict(grid), training=dict(training),
+        name=name, dim=dim, seed=seed, source=dict(payload["source"]),
+        target=dict(payload["target"]), qoi=dict(payload["qoi"]),
+        grid=dict(payload["grid"]), training=dict(training),
     )
 
 
@@ -227,19 +202,15 @@ def serialize_spec(spec):
 def load_spec(path):
     try:
         with open(path) as fh:
-            return parse_spec(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read spec file: {exc}", field="<file>")
+    return parse_spec(text)
 
 
 def _density_from_spec(spec, dim):
-    if "per_axis" in spec:
-        factors = [
-            make_density_1d(ax["family"], ax.get("params")) for ax in spec["per_axis"]
-        ]
-    else:
-        factors = [make_density_1d(spec["family"], spec.get("params")) for _ in range(dim)]
-    return product_density(factors)
+    axes = spec["per_axis"] if "per_axis" in spec else [spec] * dim
+    return product_density([make_density_1d(a["family"], a.get("params")) for a in axes])
 
 
 @contextlib.contextmanager
@@ -378,7 +349,9 @@ def _calc_values(kind, params):
     """Calculator parameters as finite floats, defaults filled in."""
     if kind not in _CALC_PARAMS:
         raise ConfigurationError(f"unknown calculator '{kind}'", field="calc.kind")
-    _reject_unknown(params, _CALC_PARAMS[kind], f"calc.{kind}")
+    for key in params:
+        if key not in _CALC_PARAMS[kind]:
+            raise ConfigurationError(f"unknown key 'calc.{kind}.{key}'", field=f"calc.{kind}.{key}")
     values = {}
     for key, default in _CALC_PARAMS[kind].items():
         if key not in params:
@@ -453,7 +426,8 @@ def cmd_report(results_path, csv_path=None, print_fn=print):
             f"{_cell(rep.kl_estimate, 10, '.5f')} {rep.seed:>6}"
             for rep in reports
         ]
-    except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, wrong keys or types
+    # unreadable, not JSON or nested too deep, wrong keys or types
+    except (OSError, ValueError, RecursionError, TypeError) as exc:
         raise ConfigurationError(f"cannot read results file: {exc}", field="--results")
     print_fn(f"{'n':>8} {'level':>5} {'nodes':>7} {'total':>12} {'quad':>12} "
              f"{'tv':>10} {'kl':>10} {'seed':>6}")
@@ -545,21 +519,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "grid":
+        if args.command in ("grid", "run"):
             spec = load_spec(args.spec)
             if args.levels:
-                spec = dataclasses.replace(
-                    spec, grid={"levels": _parse_levels(args.levels)}
-                )
+                spec = dataclasses.replace(spec, grid={"levels": _parse_levels(args.levels)})
+        if args.command == "grid":
             cmd_grid(spec, args.out)
         elif args.command == "run":
-            spec = load_spec(args.spec)
-            if args.levels:
-                spec = dataclasses.replace(
-                    spec, grid={"levels": _parse_levels(args.levels)}
-                )
             if args.seed is not None:
-                _typed(args.seed, int, "--seed", 0)
+                _walk(args.seed, "--seed", "seed")
             cmd_run(spec, args.out, seed=args.seed, threads=args.threads)
         elif args.command == "calc":
             cmd_calc(args.kind, _parse_kv(args.params))

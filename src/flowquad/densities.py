@@ -85,8 +85,8 @@ def linear_tilt(a, b):
     if a < 0 or a + b < 0:
         raise InvalidArgumentError(f"linear tilt needs a >= 0 and a + b >= 0, got ({a}, {b})")
     z = a + 0.5 * b
-    if z <= 0:
-        raise InvalidArgumentError("linear tilt has zero total mass")
+    if not (z > 0 and math.isfinite(a + b)):
+        raise InvalidArgumentError(f"linear tilt needs a finite positive mass, got ({a}, {b})")
 
     def pdf(x):
         return (a + b * np.asarray(x, dtype=float)) / z
@@ -133,7 +133,14 @@ def cosine_bump(amp, freq=1, phase=0.0):
     if freq <= 0:
         raise InvalidArgumentError(f"cosine bump needs freq > 0, got {freq}")
     w = math.pi * freq
+    # w > 0, so a finite sum bounds w, the phase shift and their sum
+    if not math.isfinite(w + abs(math.pi * phase)):
+        raise InvalidArgumentError(
+            f"cosine bump needs finite pi*freq and pi*phase, got ({freq}, {phase})"
+        )
     z = 1.0 + amp * (math.sin(w + math.pi * phase) - math.sin(math.pi * phase)) / w
+    if not 0 < z < math.inf:
+        raise InvalidArgumentError(f"cosine bump needs a finite positive mass, got {z}")
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
@@ -159,26 +166,19 @@ def cosine_bump(amp, freq=1, phase=0.0):
     )
 
 
-FAMILIES_1D = {
-    "uniform": lambda params: uniform1d(),
-    "linear_tilt": lambda params: linear_tilt(params["a"], params["b"]),
-    "cosine_bump": lambda params: cosine_bump(
-        params["amp"], params.get("freq", 1), params.get("phase", 0.0)
-    ),
-}
+FAMILIES_1D = {"uniform": uniform1d, "linear_tilt": linear_tilt, "cosine_bump": cosine_bump}
 
 
 def make_density_1d(family, params=None):
+    """The `family` density built from its constructor's keyword `params`."""
     if family not in FAMILIES_1D:
         raise InvalidArgumentError(
             f"unknown density family '{family}', known: {sorted(FAMILIES_1D)}"
         )
     try:
-        return FAMILIES_1D[family](params or {})
-    except KeyError as exc:
-        raise InvalidArgumentError(
-            f"density family '{family}' needs parameter '{exc.args[0]}'"
-        ) from None
+        return FAMILIES_1D[family](**(params or {}))
+    except TypeError as exc:  # a missing or unknown parameter
+        raise InvalidArgumentError(f"density family '{family}': {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -223,11 +223,12 @@ def product_density(factors, name=None):
 
     lower = math.prod(f.lower for f in factors)
     upper = math.prod(f.upper for f in factors)
-    # grad bound of a product: per-axis tilt times the other factors' sup
-    sq = 0.0
-    for i, f in enumerate(factors):
-        others = math.prod(g.upper for j, g in enumerate(factors) if j != i)
-        sq += (f.lipschitz * others) ** 2
+    # grad bound of a product: per-axis tilt times the other factors' sup;
+    # hypot overflows only where the bound itself does
+    lipschitz = math.hypot(*(
+        f.lipschitz * math.prod(g.upper for j, g in enumerate(factors) if j != i)
+        for i, f in enumerate(factors)
+    ))
     return Density(
         dim=dim,
         evaluate=evaluate,
@@ -235,7 +236,7 @@ def product_density(factors, name=None):
         upper=upper,
         factors=factors,
         name=name or "x".join(f.name for f in factors),
-        lipschitz=math.sqrt(sq),
+        lipschitz=lipschitz,
     )
 
 

@@ -481,6 +481,8 @@ def capacity_constants(hidden_depth, width, dim, c_d=1.0, c_dkl=1.0, dps=50):
     L, W, d = hidden_depth, width, dim
     if L < 1 or W < 1 or d < 1:
         raise InvalidArgumentError("hidden_depth, width and dim must all be >= 1")
+    if c_d <= 0 or c_dkl <= 0:
+        raise InvalidArgumentError(f"c_d and c_dkl must be positive, got ({c_d}, {c_dkl})")
     with mp.workdps(dps):
         two_w = mp.mpf(2 * W)
         dp1 = mp.mpf(d + 1)

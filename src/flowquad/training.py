@@ -12,7 +12,6 @@ of the sample size) and the sample-size threshold calculator.
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +186,8 @@ def train_erm(config, samples, source):
 @dataclass(frozen=True)
 class AdaptiveSchedule:
     """Width/depth/spline-resolution schedule; raw_* are the pre-floor,
-    pre-clamp formula values (the floors clamp to 1 at desk scale)."""
+    pre-clamp formula values (the floors clamp to 1 at desk scale) and
+    clamped says whether a floor or clamp changed any of them."""
 
     width: int
     depth: int
@@ -205,6 +205,8 @@ def adaptive_architecture(n, beta, c_d=1.0, dim=1):
         raise InvalidArgumentError(f"beta must lie in (0, 1/2), got {beta}")
     if n < 3:
         raise InvalidArgumentError("need n >= 3")
+    if dim < 1:
+        raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     log_n = math.log(n)
     raw_w = math.log(log_n) if log_n > 0 else -math.inf
     w = max(1, math.floor(raw_w)) if math.isfinite(raw_w) else 1
@@ -224,10 +226,6 @@ def adaptive_architecture(n, beta, c_d=1.0, dim=1):
     clamped = (w != math.floor(raw_w)) or (not math.isfinite(raw_l)) or (
         math.isfinite(raw_l) and l != math.floor(raw_l)
     ) or (k != math.floor(raw_k))
-    if clamped:
-        warnings.warn(
-            f"capacity schedule clamped to its floor at n={n}", stacklevel=2
-        )
     return AdaptiveSchedule(
         width=w, depth=l, resolution=k,
         raw_width=raw_w, raw_depth=raw_l, raw_resolution=raw_k,
@@ -254,6 +252,8 @@ def sample_threshold(epsilon, delta, beta, qoi_sup_norm, c_const=1.0):
         raise InvalidArgumentError(f"beta must lie in (0, 1/2), got {beta}")
     if qoi_sup_norm <= 0:
         raise InvalidArgumentError("qoi_sup_norm must be positive")
+    if c_const <= 0:
+        raise InvalidArgumentError("c_const must be positive")
     log_conf = math.log(1.0 / delta)
     if log_conf <= 0.0:
         return SampleThreshold(log10=-math.inf, value=0)

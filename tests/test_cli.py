@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowquad
 from flowquad import cli
@@ -221,6 +224,11 @@ def test_module_entry_point_prints_constants_without_warning(tmp_path):
         "log D bound     = 1.15792089237e+77",
     ]
     assert "RuntimeWarning" not in done.stderr
+    # a clamped schedule says so on stdout, and prints no Python warning
+    done = _python(["-m", "flowquad.cli", "calc", "schedule", "n=1e6", "beta=0.25"], tmp_path)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "note: clamped to the floor value 1 at this sample size"
+    assert done.stderr == ""
 
 
 def test_report_command(tmp_path):
@@ -320,6 +328,16 @@ def _run_with(*path, value):
     return argv
 
 
+def _spec_bytes(data):
+    """argv of `run` on a spec file holding these bytes."""
+
+    def argv(tmp_path, monkeypatch):
+        (tmp_path / "spec.json").write_bytes(data)
+        return ["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]
+
+    return argv
+
+
 def _threads_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("FLOWQUAD_THREADS", "two")
     return ["run", "--spec", write_spec(tmp_path, spec_payload()), "--out", str(tmp_path / "o")]
@@ -358,9 +376,38 @@ def _report_of(text):
         pytest.param(_run_with("name", value="../../escape/x"), id="name-with-path"),
         pytest.param(_run_with("outputs", value={"dir": "elsewhere"}), id="outputs"),
         pytest.param(_run_with("dim", value=4), id="dim-4"),
+        pytest.param(_run_with("target", value={"family": "cosine_bump",
+                                                "params": {"amp": 0.5, "frequency": 3}}),
+                     id="density-param-unknown"),
+        pytest.param(_run_with("target", value={"family": "cosine_bump",
+                                                "params": {"amp": 0.5, "freq": 1e308}}),
+                     id="density-freq-overflows"),
+        pytest.param(_run_with("target", value={"family": "linear_tilt",
+                                                "params": {"a": 1.7e308, "b": 1.7e308}}),
+                     id="density-mass-overflows"),
+        pytest.param(_run_with("qoi", value={"family": "coordinate", "params": {"axis": 0.7}}),
+                     id="qoi-axis-not-integral"),
+        pytest.param(_run_with("qoi", value={"family": "product", "params": {"axis": 0}}),
+                     id="qoi-param-unknown"),
+        pytest.param(_spec_bytes(b"\xff\xfe{}"), id="spec-not-utf8"),
+        pytest.param(_spec_bytes(b"[" * 100_000 + b"]" * 100_000), id="spec-nested-too-deep"),
         pytest.param(_threads_from_environment, id="threads-environment"),
         pytest.param(lambda *_: ["calc", "schedule", "n=abc"], id="calc-not-a-number"),
         pytest.param(lambda *_: ["calc", "schedule", "beta=0.25"], id="calc-missing-key"),
+        pytest.param(lambda *_: ["calc", "threshold", "epsilon=0.1", "delta=0.05", "beta=0.25",
+                                 "c=0"], id="calc-threshold-c-zero"),
+        pytest.param(lambda *_: ["calc", "threshold", "epsilon=0.1", "delta=0.05", "beta=0.25",
+                                 "c=-1"], id="calc-threshold-c-negative"),
+        pytest.param(lambda *_: ["calc", "schedule", "n=1e6", "beta=0.25", "d=-1"],
+                     id="calc-schedule-d-negative"),
+        pytest.param(lambda *_: ["calc", "schedule", "n=1e6", "beta=0.25", "d=0"],
+                     id="calc-schedule-d-zero"),
+        pytest.param(lambda *_: ["calc", "constants", "L=2", "W=4", "d=2", "c_dkl=-1"],
+                     id="calc-constants-c_dkl-negative"),
+        pytest.param(lambda *_: ["calc", "constants", "L=2", "W=4", "d=2", "c_dkl=0"],
+                     id="calc-constants-c_dkl-zero"),
+        pytest.param(lambda *_: ["calc", "constants", "L=2", "W=4", "d=2", "c_d=0"],
+                     id="calc-constants-c_d-zero"),
         pytest.param(_report_of(None), id="report-missing-file"),
         pytest.param(_report_of('{"total_error": 1}\n'), id="report-missing-keys"),
         pytest.param(_report_of(json.dumps({**_REPORT, "total_error": "x"}) + "\n"),
@@ -378,6 +425,8 @@ def _report_of(text):
         pytest.param(_report_of(json.dumps({**_REPORT, "total_error": 10**400}) + "\n"),
                      id="report-float-out-of-range"),
         pytest.param(_report_of("[1, 2]\n"), id="report-line-not-an-object"),
+        pytest.param(_report_of("[" * 100_000 + "]" * 100_000 + "\n"),
+                     id="report-nested-too-deep"),
     ],
 )
 def test_malformed_input_exits_2_before_training(make_argv, tmp_path, monkeypatch, capsys):
@@ -461,3 +510,106 @@ def test_interrupted_write_keeps_previous_file(
         cli.cmd_run(cli.parse_spec(changed), str(out), print_fn=sink)
     assert sorted(os.listdir(out)) == sorted(before)  # no temporary file is left
     assert (out / target).read_bytes() == before[target]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed specs and results lines
+# ---------------------------------------------------------------------------
+
+_FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+# a family parameter: near the families' domains, anywhere, or near either end
+# of the float range, where the normalizers overflow
+_PARAM_VALUES = (st.floats(-2, 2) | st.floats() | st.floats(1e300, sys.float_info.max)
+                 | st.floats(-sys.float_info.max, -1e300))
+# the parameters of each density family, as the README lists them
+_FAMILY_PARAMS = {"uniform": (), "linear_tilt": ("a", "b"), "cosine_bump": ("amp", "freq", "phase")}
+# every parameter a density family or QoI takes, and one that none takes
+_PARAM_NAMES = sorted({*sum(_FAMILY_PARAMS.values(), ()), "axis", "frequency"})
+
+
+def _fuzz_base():
+    """A valid spec holding every density family and both density forms."""
+    return spec_payload(
+        dim=3,
+        source={"per_axis": [
+            {"family": "uniform"},
+            {"family": "linear_tilt", "params": {"a": 1.0, "b": -0.5}},
+            {"family": "cosine_bump", "params": {"amp": 0.5, "freq": 2, "phase": 0.25}},
+        ]},
+        target={"family": "cosine_bump", "params": {"amp": 0.3}},
+        qoi={"family": "coordinate", "params": {"axis": 2}},
+    )
+
+
+@st.composite
+def _mutated_specs(draw):
+    """The base spec with a JSON value at a concrete path of a schema row."""
+    row = draw(st.sampled_from(sorted(cli._SCHEMA)))
+    if not row:
+        return draw(_JSON)
+    payload = node = _fuzz_base()
+    *parents, last = row.split(".")
+    for segment in parents:
+        node = node.setdefault(segment.removesuffix("[]"), [] if "[]" in segment else {})
+        if "[]" in segment:
+            node = node or [{}]
+            node = node[draw(st.integers(0, len(node) - 1))]
+    if last == "*":
+        key = draw(st.sampled_from(_PARAM_NAMES) | st.text(max_size=4))
+        node[key] = draw(_PARAM_VALUES | _JSON)
+    elif last.endswith("[]"):
+        items = node.setdefault(last[:-2], [])
+        i = draw(st.integers(0, len(items)))
+        items[i:i + 1] = [draw(_JSON)]
+    else:
+        node[last] = draw(_JSON)
+    return payload
+
+
+def _parses_or_exits_2(payload):
+    """parse_spec accepts the payload or raises ConfigurationError, and
+    `grid` on a rejected spec exits 2 and writes nothing."""
+    try:
+        cli.parse_spec(payload)
+        return
+    except ConfigurationError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out")
+        with open(spec, "w") as fh:
+            json.dump(payload, fh)
+        assert cli.main(["grid", "--spec", spec, "--out", out]) == 2
+        assert not os.path.exists(out)
+
+
+@_FUZZ
+@given(payload=_mutated_specs())
+def test_fuzzed_spec_parses_or_exits_2(payload):
+    _parses_or_exits_2(payload)
+
+
+@_FUZZ
+@given(data=st.data(), where=st.sampled_from(["source", "target"]),
+       family=st.sampled_from(sorted(_FAMILY_PARAMS)))
+def test_fuzzed_family_parameters_parse_or_exit_2(data, where, family):
+    optional = dict.fromkeys(_FAMILY_PARAMS[family], _PARAM_VALUES)
+    params = data.draw(st.fixed_dictionaries({}, optional=optional))
+    _parses_or_exits_2(spec_payload(**{where: {"family": family, "params": params}}))
+
+
+@_FUZZ
+@given(line=_JSON | st.builds(lambda key, value: {**_REPORT, key: value},
+                              st.sampled_from(sorted(_REPORT)) | st.text(max_size=4), _JSON))
+def test_fuzzed_results_line_exits_0_or_2(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(line) + "\n")
+        assert cli.main(["report", "--results", path]) in (0, 2)

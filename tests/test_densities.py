@@ -68,6 +68,9 @@ def test_product_density_bounds_and_mass():
     dens = dn.product_density([dn.linear_tilt(0.2, 1.6), dn.cosine_bump(0.3)])
     dn.check_bounds_on_lattice(dens)
     assert abs(dn.total_mass(dens) - 1.0) < 1e-6
+    # the product's gradient bound is finite wherever each factor's is
+    steep = dn.product_density([dn.cosine_bump(0.999999, freq=1e300), dn.uniform1d()])
+    assert steep.lipschitz == steep.factors[0].lipschitz
 
 
 def test_uniform_density_is_one():
