@@ -9,16 +9,17 @@ target and the pushforward density (grid mode, dim <= 2).
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedDimensionError
 from .flow import flow_forward, log_pushforward_density
-from .quadrature import kahan_sum, lattice, tensor_gauss
+from .quadrature import REFERENCE_POINTS, kahan_sum, lattice, tensor_gauss
 
 ORACLE_BLOCK_ROWS = 2048  # rows per flow_forward call of the dense oracle
+QOI_PROBE_POINTS = 33  # lattice points per axis of the QoI bound probe
+CHECK_SLACK = 5e-3  # absolute slack of the Pinsker and decomposition checks
 
 
 @dataclass(frozen=True)
@@ -30,9 +31,9 @@ class QoI:
     name: str = "qoi"
 
 
-def check_qoi_bound(qoi, dim, points_per_axis=33):
+def check_qoi_bound(qoi, dim):
     """Probe |qoi| <= sup_norm on a tensor lattice."""
-    pts = lattice(np.linspace(0, 1, points_per_axis), dim)
+    pts = lattice(np.linspace(0, 1, QOI_PROBE_POINTS), dim)
     worst = float(np.max(np.abs(qoi.evaluate(pts))))
     if worst > qoi.sup_norm + 1e-9:
         raise InvalidArgumentError(
@@ -74,19 +75,19 @@ def make_qoi(family, dim, params=None):
 # ---------------------------------------------------------------------------
 
 
-def reference_expectation(target, qoi, points_per_axis=129):
+def reference_expectation(target, qoi):
     """Dense-grid value of E_target[qoi] (dim <= 3)."""
     if target.dim > 3:
         raise UnsupportedDimensionError("dense reference grid is limited to dim <= 3")
-    pts, wt = tensor_gauss(target.dim, points_per_axis)
+    pts, wt = tensor_gauss(target.dim, REFERENCE_POINTS)
     return float(np.dot(wt, qoi.evaluate(pts) * target.evaluate(pts)))
 
 
-def pullback_integral_oracle(fm, qoi, source, points_per_axis=129):
+def pullback_integral_oracle(fm, qoi, source):
     """Dense-grid value of the integral of qoi(flow(x)) against the source."""
     if fm.dim > 3:
         raise UnsupportedDimensionError("dense reference grid is limited to dim <= 3")
-    pts, wt = tensor_gauss(fm.dim, points_per_axis)
+    pts, wt = tensor_gauss(fm.dim, REFERENCE_POINTS)
     # bounded blocks keep the RK4 temporaries small; none is a single row
     blocks = np.array_split(pts, -(-len(pts) // ORACLE_BLOCK_ROWS))
     vals = [qoi.evaluate(flow_forward(fm, b)) * source.evaluate(b) for b in blocks]
@@ -98,27 +99,20 @@ def pullback_integral_oracle(fm, qoi, source, points_per_axis=129):
 # ---------------------------------------------------------------------------
 
 
-def _push(fm, nodes, threads):
-    """flow_forward of the nodes, over contiguous blocks when threads > 1."""
-    if threads > 1 and len(nodes) > 1:
-        blocks = np.array_split(np.arange(len(nodes)), min(threads, len(nodes)))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda idx: flow_forward(fm, nodes[idx]), blocks))
-        return np.concatenate(parts, axis=0)
-    return flow_forward(fm, nodes)
-
-
 def integrate_via_flow(grid, fm, qoi, threads=1):
     """Sparse-grid estimate sum_j w_j qoi(flow(xi_j)).
 
     Node images come from `fm.images`: only nodes this flow map has not
-    pushed under its current parameters are integrated, so the nested
-    levels of a sweep and further QoIs on the same grid reuse earlier
-    images.  Flow evaluation fans out over contiguous node blocks when
-    threads > 1; the weighted reduction is compensated and fixed-order
-    either way.
+    pushed under its current parameters are integrated, in one batch, so
+    the nested levels of a sweep and further QoIs on the same grid reuse
+    earlier images.  The weighted reduction is compensated and
+    fixed-order.  `threads` accepts only 1, so callers that pass it keep
+    working.
     """
-    mapped = fm.images(grid.nodes, lambda rows: _push(fm, rows, threads))
+    if threads != 1:
+        raise InvalidArgumentError(f"threads must be 1, got {threads!r}")
+    # flow_forward is looked up per call, so a wrapped module attribute is used
+    mapped = fm.images(grid.nodes, lambda rows: flow_forward(fm, rows))
     vals = qoi.evaluate(mapped)
     return kahan_sum(grid.weights * vals)
 
@@ -127,10 +121,10 @@ def total_error(reference, estimate):
     return abs(reference - estimate)
 
 
-def quadrature_error_measured(grid, fm, qoi, source, oracle=None, points_per_axis=129):
+def quadrature_error_measured(grid, fm, qoi, source, oracle=None):
     """|dense-grid pullback integral - sparse-grid estimate|."""
     if oracle is None:
-        oracle = pullback_integral_oracle(fm, qoi, source, points_per_axis)
+        oracle = pullback_integral_oracle(fm, qoi, source)
     return abs(oracle - integrate_via_flow(grid, fm, qoi))
 
 
@@ -176,12 +170,12 @@ def tv_kl_estimate(target, fm, source, points_per_axis=65):
     return _tv(*grid), _kl(*grid)
 
 
-def pinsker_check(tv, kl, slack=5e-3):
-    return tv <= math.sqrt(max(kl, 0.0) / 2.0) + slack
+def pinsker_check(tv, kl):
+    return tv <= math.sqrt(max(kl, 0.0) / 2.0) + CHECK_SLACK
 
 
-def decomposition_check(total, qoi_sup, tv, quad, slack=5e-3):
-    return total <= qoi_sup * tv + quad + slack
+def decomposition_check(total, qoi_sup, tv, quad):
+    return total <= qoi_sup * tv + quad + CHECK_SLACK
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ EXIT_CONFIGURATION = 2
 EXIT_TRAINING = 3
 EXIT_INTEGRATION = 4
 
-EVAL_FLOW_STEPS = 64
-
 # every spec key path -> (JSON type, (low, high) bounds or None, required).
 # A '*' segment matches any key and '[]' any list entry; float means a
 # finite number, and bounds mean low <= value < high (high None: no cap).
@@ -270,6 +268,10 @@ def _train_config(training, seed):
 
 
 def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
+    """Train and integrate one experiment.  `threads` accepts only 1, so
+    callers that pass it keep working."""
+    if threads != 1:
+        raise InvalidArgumentError(f"threads must be 1, got {threads!r}")
     source = _density_from_spec(spec.source, spec.dim)
     target = _density_from_spec(spec.target, spec.dim)
     qoi = an.make_qoi(spec.qoi["family"], spec.dim, spec.qoi.get("params"))
@@ -289,7 +291,7 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     net = MlpVectorField(result.architecture, theta=result.theta_hat)
     with _replaced_on_success(os.path.join(out_dir, f"{spec.name}_seed{seed}.ckpt")) as tmp:
         save_checkpoint(net, tmp)
-    fm = FlowMap(net, dim=spec.dim, steps=EVAL_FLOW_STEPS)
+    fm = FlowMap(net, dim=spec.dim)
 
     learning_available = spec.dim <= 2
     if learning_available:
@@ -302,7 +304,7 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     reports = []
     for level in spec.grid["levels"]:
         grid = quad.smolyak(spec.dim, level, weights=weights)
-        estimate = an.integrate_via_flow(grid, fm, qoi, threads=threads)
+        estimate = an.integrate_via_flow(grid, fm, qoi)
         reports.append(
             an.ErrorReport(
                 total_error=an.total_error(reference, estimate),
@@ -470,19 +472,6 @@ def _parse_kv(pairs):
     return out
 
 
-def _thread_count(text):
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"thread count (--threads or FLOWQUAD_THREADS) must be a positive "
-            f"integer, got {text!r}"
-        )
-    return count
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="flowquad",
@@ -500,10 +489,6 @@ def build_parser():
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--levels")
-    # argparse converts a string default with `type` only when the option
-    # is absent, so a bad FLOWQUAD_THREADS is a usage error of `run` alone
-    p_run.add_argument("--threads", type=_thread_count,
-                       default=os.environ.get("FLOWQUAD_THREADS", "1"))
 
     p_calc = sub.add_parser("calc", help="closed-form calculators")
     p_calc.add_argument("kind", choices=["constants", "threshold", "schedule"])
@@ -528,7 +513,7 @@ def main(argv=None):
         elif args.command == "run":
             if args.seed is not None:
                 _walk(args.seed, "--seed", "seed")
-            cmd_run(spec, args.out, seed=args.seed, threads=args.threads)
+            cmd_run(spec, args.out, seed=args.seed)
         elif args.command == "calc":
             cmd_calc(args.kind, _parse_kv(args.params))
         elif args.command == "report":

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .quadrature import lattice, tensor_gauss
+from .quadrature import REFERENCE_POINTS, lattice, tensor_gauss
+
+BOUND_PROBE_POINTS = 65  # lattice points per axis of check_bounds_on_lattice
+BOUND_SLACK = 1e-9  # absolute slack of check_bounds_on_lattice
 
 
 @dataclass(frozen=True)
@@ -87,23 +90,26 @@ def linear_tilt(a, b):
     z = a + 0.5 * b
     if not (z > 0 and math.isfinite(a + b)):
         raise InvalidArgumentError(f"linear tilt needs a finite positive mass, got ({a}, {b})")
+    params = {"a": a, "b": b}
+    # the density is a + b*x with unit mass; scaling once keeps large
+    # parameters from overflowing below
+    a, b = a / z, b / z
 
     def pdf(x):
-        return (a + b * np.asarray(x, dtype=float)) / z
+        return a + b * np.asarray(x, dtype=float)
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        return (a * x + 0.5 * b * x * x) / z
+        return a * x + 0.5 * b * x * x
 
     def inverse(u):
         u = np.asarray(u, dtype=float)
         if abs(b) < 1e-14:
-            return u * z / a
-        c = u * z
-        disc = np.maximum(a * a + 2.0 * b * c, 0.0)
+            return u / a
+        disc = np.maximum(a * a + 2.0 * b * u, 0.0)
         denom = a + np.sqrt(disc)
         with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.where(denom > 0, 2.0 * c / np.where(denom > 0, denom, 1.0), 0.0)
+            x = np.where(denom > 0, 2.0 * u / np.where(denom > 0, denom, 1.0), 0.0)
         return x
 
     def grad_log(x):
@@ -112,12 +118,12 @@ def linear_tilt(a, b):
 
     return Density1D(
         name="linear_tilt",
-        params={"a": a, "b": b},
+        params=params,
         pdf=pdf,
         cdf=cdf,
-        lower=min(a, a + b) / z,
-        upper=max(a, a + b) / z,
-        lipschitz=abs(b) / z,
+        lower=min(a, a + b),
+        upper=max(a, a + b),
+        lipschitz=abs(b),
         cdf_inverse=inverse,
         grad_log=grad_log,
     )
@@ -252,17 +258,17 @@ def custom_density(dim, evaluate, lower, upper, name="custom", lipschitz=math.in
     )
 
 
-def check_bounds_on_lattice(density, points_per_axis=65, slack=1e-9):
+def check_bounds_on_lattice(density):
     """Probe kappa <= f <= K on a tensor lattice (falls back to Monte Carlo
     for dim > 2).  Returns (min, max) of the probed values."""
     if density.dim <= 2:
-        pts = lattice(np.linspace(0, 1, points_per_axis), density.dim)
+        pts = lattice(np.linspace(0, 1, BOUND_PROBE_POINTS), density.dim)
     else:
         rng = np.random.default_rng(0)
         pts = rng.uniform(size=(100_000, density.dim))
     vals = density.evaluate(pts)
     vmin, vmax = float(vals.min()), float(vals.max())
-    if vmin < density.lower - slack or vmax > density.upper + slack:
+    if vmin < density.lower - BOUND_SLACK or vmax > density.upper + BOUND_SLACK:
         raise InvalidArgumentError(
             f"density values [{vmin}, {vmax}] escape the declared bounds "
             f"[{density.lower}, {density.upper}]"
@@ -270,9 +276,9 @@ def check_bounds_on_lattice(density, points_per_axis=65, slack=1e-9):
     return vmin, vmax
 
 
-def total_mass(density, points_per_axis=129):
+def total_mass(density):
     """Reference unit-mass check by tensor Gauss-Legendre (dim <= 3)."""
     if density.dim > 3:
         raise InvalidArgumentError("dense mass check is limited to dim <= 3")
-    pts, wt = tensor_gauss(density.dim, points_per_axis)
+    pts, wt = tensor_gauss(density.dim, REFERENCE_POINTS)
     return float(np.dot(wt, density.evaluate(pts)))

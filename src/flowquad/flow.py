@@ -29,7 +29,8 @@ class FlowMap:
     field: object
     dim: int
     steps: int = DEFAULT_STEPS
-    # (snapshot, sorted keys of pushed rows, their images); replaced, never mutated
+    # (snapshot, sorted keys of pushed rows, their images); replaced, never
+    # mutated, so a push that raises leaves the previous memo intact
     _memo: tuple = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -133,8 +133,8 @@ class MlpVectorField:
 
     Parameters live in one flat vector; per-layer weight matrices are
     views into it, so in-place updates of `theta` stay consistent.
-    Evaluation is pure given a parameter snapshot; `clone` hands
-    concurrent readers an independent copy.
+    Evaluation is pure given a parameter snapshot; `clone` returns an
+    independent copy whose parameters change apart from this one's.
     """
 
     def __init__(self, arch, theta=None, mask_enabled=True, rng=None):
@@ -452,6 +452,8 @@ def tensor_bspline_network(s, shifts, x):
 # capacity / Lipschitz constant calculators
 # ---------------------------------------------------------------------------
 
+CAPACITY_DPS = 50  # mpmath decimal digits of capacity_constants
+
 
 @dataclass(frozen=True)
 class CapacityConstants:
@@ -469,7 +471,7 @@ class CapacityConstants:
     degenerate: bool
 
 
-def capacity_constants(hidden_depth, width, dim, c_d=1.0, c_dkl=1.0, dps=50):
+def capacity_constants(hidden_depth, width, dim, c_d=1.0, c_dkl=1.0):
     """Evaluate Lip0, Lip1, C and the subgaussian/bounded-difference envelopes.
 
     All returns are natural logarithms as mpmath floats; the doubly
@@ -483,7 +485,7 @@ def capacity_constants(hidden_depth, width, dim, c_d=1.0, c_dkl=1.0, dps=50):
         raise InvalidArgumentError("hidden_depth, width and dim must all be >= 1")
     if c_d <= 0 or c_dkl <= 0:
         raise InvalidArgumentError(f"c_d and c_dkl must be positive, got ({c_d}, {c_dkl})")
-    with mp.workdps(dps):
+    with mp.workdps(CAPACITY_DPS):
         two_w = mp.mpf(2 * W)
         dp1 = mp.mpf(d + 1)
         lip0 = mp.mpf(L) * two_w ** (2 ** (L + 2) + 2 * L - 3) * dp1 ** (2**L)

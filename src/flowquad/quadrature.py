@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import EvaluationError, InvalidArgumentError, InvalidWeightError
 
+REFERENCE_POINTS = 129  # Gauss-Legendre points per axis of every dense reference
 _GAUSS_PANEL_ORDER = 8
 # the fixed panel rule on [-1, 1] that every weighted moment computation uses
 _GAUSS_PANEL_X, _GAUSS_PANEL_W = np.polynomial.legendre.leggauss(_GAUSS_PANEL_ORDER)
@@ -185,7 +186,6 @@ class Rule1D:
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple
-    weight_id: str
     point_count: int
 
     def __post_init__(self):
@@ -200,17 +200,10 @@ class Rule1D:
         self.weights.setflags(write=False)
 
 
-def cc_rule(m, domain=(0.0, 1.0), weight=None, weight_id=None):
+def cc_rule(m, domain=(0.0, 1.0), weight=None):
     """Construct the m-point Clenshaw-Curtis Rule1D on `domain`."""
-    if weight_id is None:
-        weight_id = "uniform" if weight is None else "custom"
-    return Rule1D(
-        nodes=cc_nodes(m, domain),
-        weights=cc_weights(m, domain, weight),
-        domain=tuple(domain),
-        weight_id=weight_id,
-        point_count=m,
-    )
+    return Rule1D(nodes=cc_nodes(m, domain), weights=cc_weights(m, domain, weight),
+                  domain=tuple(domain), point_count=m)
 
 
 def lattice(axis, dim):
@@ -289,8 +282,6 @@ class SparseGrid:
     nodes: np.ndarray
     weights: np.ndarray
     combination_terms: tuple
-    domain: tuple = (0.0, 1.0)
-    weight_id: str = "uniform"
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -370,16 +361,8 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     order = np.lexsort(nodes.T[::-1])
     nodes = nodes[order]
     wvec = wvec[order]
-    weight_id = "uniform" if weights is None else "custom"
-    return SparseGrid(
-        dim=dim,
-        level=level,
-        nodes=nodes,
-        weights=wvec,
-        combination_terms=tuple(terms),
-        domain=(a, b),
-        weight_id=weight_id,
-    )
+    return SparseGrid(dim=dim, level=level, nodes=nodes, weights=wvec,
+                      combination_terms=tuple(terms))
 
 
 def node_count_asymptotic(dim, level):

@@ -11,7 +11,6 @@ of the sample size) and the sample-size threshold calculator.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,6 @@ class TrainResult:
     nll_trace: list
     final_nll: float
     architecture: object
-    wall_time: float
     holdout_gap: float
     best_epoch: int
     grad_norm_trace: list = field(default_factory=list)
@@ -92,7 +90,6 @@ def train_erm(config, samples, source):
     Raises TrainingFailureError (with the epoch) if the loss turns
     non-finite.
     """
-    t_start = time.perf_counter()
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n, dim = samples.shape
     rng = np.random.default_rng(config.seed)
@@ -171,7 +168,6 @@ def train_erm(config, samples, source):
         nll_trace=nll_trace,
         final_nll=best_nll,
         architecture=arch,
-        wall_time=time.perf_counter() - t_start,
         holdout_gap=hold_gap,
         best_epoch=best_epoch,
         grad_norm_trace=grad_norms,

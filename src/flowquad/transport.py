@@ -23,6 +23,8 @@ from .errors import (
 from .quadrature import lattice
 
 CDF_INVERSION_TOL = 1e-10
+FIELD_FD_STEP = 1e-6  # central-difference step of TransportField.divergence
+RATIO_FD_STEP = 1e-5  # central-difference step of mask_ratio_norms
 
 
 class _MarginalTables:
@@ -33,10 +35,11 @@ class _MarginalTables:
     conditional CDF given the leading coordinates.
     """
 
-    def __init__(self, density, resolution):
+    def __init__(self, density):
         from scipy.integrate import cumulative_simpson, simpson
 
         self.dim = density.dim
+        resolution = 257 if self.dim <= 2 else 129
         self.grid = np.linspace(0.0, 1.0, resolution)
         pts = lattice(self.grid, self.dim)
         f = density.evaluate(pts).reshape((resolution,) * self.dim)
@@ -86,10 +89,10 @@ class KrTransport:
     """Triangular transport T with T_* source = target.
 
     Queries are pure after construction; the precomputed tables are never
-    mutated, so instances are safe to share across threads.
+    mutated.
     """
 
-    def __init__(self, source, target, marginal_resolution=None):
+    def __init__(self, source, target):
         if source.dim != target.dim:
             raise InvalidArgumentError(
                 f"source dim {source.dim} != target dim {target.dim}"
@@ -97,9 +100,6 @@ class KrTransport:
         self.dim = source.dim
         self.source = source
         self.target = target
-        if marginal_resolution is None:
-            marginal_resolution = 257 if self.dim <= 2 else 129
-        self.marginal_resolution = marginal_resolution
 
         self._tables = {}
         for which, dens in (("source", source), ("target", target)):
@@ -108,7 +108,7 @@ class KrTransport:
                     raise UnsupportedDimensionError(
                         f"non-factorized {which} density needs dim <= 3, got {self.dim}"
                     )
-                self._tables[which] = _MarginalTables(dens, marginal_resolution)
+                self._tables[which] = _MarginalTables(dens)
 
     def _density(self, which):
         if which == "source":
@@ -224,10 +224,9 @@ class TransportField:
     Divergence uses interior central differences (verification grade).
     """
 
-    def __init__(self, transport, fd_step=1e-6):
+    def __init__(self, transport):
         self.transport = transport
         self.dim = transport.dim
-        self.fd_step = fd_step
 
     def __call__(self, x, t):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -240,7 +239,7 @@ class TransportField:
     def divergence(self, x, t):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = float(np.clip(t, 0.0, 1.0))
-        h = self.fd_step
+        h = FIELD_FD_STEP
         div = np.zeros(len(x))
         for i, row in enumerate(np.clip(x, 0.0, 1.0)):
             for k in range(self.dim):
@@ -256,7 +255,7 @@ class TransportField:
         return div
 
 
-def mask_ratio_norms(transport, space_points=9, time_points=5, fd_step=1e-5):
+def mask_ratio_norms(transport, space_points=9, time_points=5):
     """Empirical C0/C1 size of the target field divided by the boundary mask.
 
     The theoretical bound on this quantity is not explicit, so it is probed
@@ -279,9 +278,9 @@ def mask_ratio_norms(transport, space_points=9, time_points=5, fd_step=1e-5):
             c0 = max(c0, float(np.max(np.abs(base))))
             for k in range(d):
                 pp = p.copy()
-                pp[k] += fd_step
+                pp[k] += RATIO_FD_STEP
                 pm = p.copy()
-                pm[k] -= fd_step
-                deriv = (ratio(pp, t) - ratio(pm, t)) / (2 * fd_step)
+                pm[k] -= RATIO_FD_STEP
+                deriv = (ratio(pp, t) - ratio(pm, t)) / (2 * RATIO_FD_STEP)
                 c1 = max(c1, float(np.max(np.abs(deriv))))
     return {"c0": c0, "c1": max(c0, c1)}

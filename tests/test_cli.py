@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import flowquad
 from flowquad import cli
-from flowquad.errors import ConfigurationError
+from flowquad.errors import ConfigurationError, InvalidArgumentError
 from flowquad.quadrature import cc_nodes, cc_weights, growth, read_grid
 
 
@@ -300,11 +300,15 @@ def test_exit_code_integration_failure(tmp_path, monkeypatch):
     assert cli.main(["run", "--spec", spec_file, "--out", str(tmp_path / "o")]) == 4
 
 
-def test_thread_default_from_environment(monkeypatch):
-    monkeypatch.setenv("FLOWQUAD_THREADS", "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["run", "--spec", "x.json"])
-    assert args.threads == 3
+def test_cmd_run_accepts_only_one_thread(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "train_erm", no_training)
+    spec = cli.parse_spec(spec_payload())
+    with pytest.raises(InvalidArgumentError):
+        cli.cmd_run(spec, str(tmp_path / "o"), threads=2)
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +342,9 @@ def _spec_bytes(data):
     return argv
 
 
-def _threads_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLOWQUAD_THREADS", "two")
-    return ["run", "--spec", write_spec(tmp_path, spec_payload()), "--out", str(tmp_path / "o")]
+def _threads_option(tmp_path, monkeypatch):
+    return ["run", "--spec", write_spec(tmp_path, spec_payload()), "--out", str(tmp_path / "o"),
+            "--threads", "2"]
 
 
 # one well-formed results line, as `run` writes it
@@ -391,7 +395,7 @@ def _report_of(text):
                      id="qoi-param-unknown"),
         pytest.param(_spec_bytes(b"\xff\xfe{}"), id="spec-not-utf8"),
         pytest.param(_spec_bytes(b"[" * 100_000 + b"]" * 100_000), id="spec-nested-too-deep"),
-        pytest.param(_threads_from_environment, id="threads-environment"),
+        pytest.param(_threads_option, id="threads-option"),
         pytest.param(lambda *_: ["calc", "schedule", "n=abc"], id="calc-not-a-number"),
         pytest.param(lambda *_: ["calc", "schedule", "beta=0.25"], id="calc-missing-key"),
         pytest.param(lambda *_: ["calc", "threshold", "epsilon=0.1", "delta=0.05", "beta=0.25",

@@ -32,6 +32,7 @@ def test_1d_family_is_normalized(factory):
         lambda: dn.linear_tilt(0.0, 2.0),
         lambda: dn.cosine_bump(0.5),
         lambda: dn.cosine_bump(-0.3, freq=2, phase=0.25),
+        lambda: dn.linear_tilt(1e200, 1e200),  # a * a overflows unless scaled first
     ],
 )
 def test_quantile_inverts_cdf(factory):
