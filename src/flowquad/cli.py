@@ -262,7 +262,7 @@ def cmd_grid(spec, out_dir, print_fn=print):
 def _train_config(training, seed):
     training = dict(training)
     training.setdefault("sample_size", 1000)
-    if "hidden_depth" not in training and not training.get("adaptive"):
+    if "hidden_depth" not in training and "width" not in training:
         training.setdefault("adaptive", True)
     return TrainConfig(seed=seed, **training)
 

@@ -147,6 +147,14 @@ def cosine_bump(amp, freq=1, phase=0.0):
     z = 1.0 + amp * (math.sin(w + math.pi * phase) - math.sin(math.pi * phase)) / w
     if not 0 < z < math.inf:
         raise InvalidArgumentError(f"cosine bump needs a finite positive mass, got {z}")
+    # z cancels for tiny freq; the product form does not, and z stays the
+    # normalizer so the cdf keeps its bits
+    z_exact = 1.0 + amp * 2.0 * math.cos(math.pi * phase + 0.5 * w) * math.sin(0.5 * w) / w
+    if abs(z - z_exact) > 1e-10 * z_exact:
+        raise InvalidArgumentError(
+            f"cosine bump mass {z} cancels (accurate value {z_exact}), got "
+            f"({amp}, {freq}, {phase})"
+        )
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
@@ -251,7 +259,8 @@ def uniform_density(dim):
 
 
 def custom_density(dim, evaluate, lower, upper, name="custom", lipschitz=math.inf):
-    """Non-factorized density from a raw callable (oracle/test use)."""
+    """Non-factorized density from a raw callable (test use; KrTransport
+    rejects it)."""
     return Density(
         dim=dim, evaluate=evaluate, lower=lower, upper=upper,
         factors=None, name=name, lipschitz=lipschitz,

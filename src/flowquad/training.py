@@ -49,6 +49,10 @@ class TrainConfig:
             raise InvalidArgumentError(
                 "set hidden_depth and width, or adaptive=True"
             )
+        if self.adaptive and (self.hidden_depth is not None or self.width is not None):
+            raise InvalidArgumentError(
+                "adaptive=True chooses hidden_depth and width; set neither"
+            )
 
 
 @dataclass

@@ -122,16 +122,12 @@ def test_cli_grid_exit_codes(tmp_path):
 
 def test_cmd_run_deterministic(tmp_path):
     spec = cli.parse_spec(spec_payload())
-    out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
     sink = lambda *_: None
-    cli.cmd_run(spec, out1, print_fn=sink)
-    cli.cmd_run(spec, out2, print_fn=sink)
-    csv1 = open(os.path.join(out1, "convergence.csv"), "rb").read()
-    csv2 = open(os.path.join(out2, "convergence.csv"), "rb").read()
-    assert csv1 == csv2
-    jl1 = open(os.path.join(out1, "results.jsonl"), "rb").read()
-    jl2 = open(os.path.join(out2, "results.jsonl"), "rb").read()
-    assert jl1 == jl2
+    cli.cmd_run(spec, str(out1), print_fn=sink)
+    cli.cmd_run(spec, str(out2), print_fn=sink)
+    for name in ("convergence.csv", "results.jsonl"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_cmd_run_rerun_into_same_directory_overwrites(tmp_path):
@@ -389,6 +385,12 @@ def _report_of(text):
         pytest.param(_run_with("target", value={"family": "linear_tilt",
                                                 "params": {"a": 1.7e308, "b": 1.7e308}}),
                      id="density-mass-overflows"),
+        pytest.param(_run_with("target", value={"family": "cosine_bump", "params": {
+            "amp": -0.1078, "freq": 3.37e-267, "phase": -0.1078}}), id="density-mass-cancels"),
+        pytest.param(_run_with("training", value={"adaptive": True, "width": 64,
+                                                  "hidden_depth": 5}),
+                     id="training-adaptive-with-architecture"),
+        pytest.param(_run_with("training", value={"width": 64}), id="training-width-alone"),
         pytest.param(_run_with("qoi", value={"family": "coordinate", "params": {"axis": 0.7}}),
                      id="qoi-axis-not-integral"),
         pytest.param(_run_with("qoi", value={"family": "product", "params": {"axis": 0}}),

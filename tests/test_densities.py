@@ -98,6 +98,8 @@ def test_invalid_families_rejected():
         dn.linear_tilt(-0.1, 1.0)
     with pytest.raises(InvalidArgumentError):
         dn.cosine_bump(1.0)
+    with pytest.raises(InvalidArgumentError):  # the closed-form mass cancels to 1.0
+        dn.cosine_bump(-0.1078, 3.37e-267, -0.1078)
     with pytest.raises(InvalidArgumentError):
         dn.make_density_1d("nope")
 

@@ -92,6 +92,8 @@ def test_config_validation():
         quick_config(sample_size=0)
     with pytest.raises(InvalidArgumentError):
         TrainConfig(sample_size=8)  # no architecture, not adaptive
+    with pytest.raises(InvalidArgumentError):
+        TrainConfig(sample_size=8, adaptive=True, width=4)  # the schedule picks the width
 
 
 def test_training_is_deterministic_and_projected():

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import chi2
 
 from flowquad import densities as dn
-from flowquad.errors import InvalidArgumentError, UnsupportedDimensionError
+from flowquad.errors import InvalidArgumentError
 from flowquad.transport import KrTransport, TransportField, mask_ratio_norms
 
 
@@ -13,33 +13,30 @@ def tilt2x_transport(dim=1):
     return KrTransport(source, target)
 
 
-def coupled_transport():
-    """Non-factorized 2D target exercising the table path."""
+def mixed_transport():
+    """2D product target mixing an analytic and a Newton-inverted quantile."""
     source = dn.uniform_density(2)
-    target = dn.custom_density(
-        2,
-        lambda x: (1.0 + 0.5 * x[:, 0] * x[:, 1]) / 1.125,
-        lower=1.0 / 1.125,
-        upper=1.5 / 1.125,
-        name="coupled",
+    target = dn.product_density(
+        [dn.linear_tilt(0.5, 1.0), dn.cosine_bump(0.5, freq=2, phase=0.25)]
     )
     return KrTransport(source, target)
 
 
 # ---------------------------------------------------------------------------
-# conditional CDFs and inverses
+# per-axis CDFs and quantiles
 # ---------------------------------------------------------------------------
 
 
 def test_uniform_conditional_cdf():
     t = KrTransport(dn.uniform_density(2), dn.uniform_density(2))
-    assert abs(t.conditional_cdf("source", 1, 0.5) - 0.5) < 1e-14
-    assert abs(t.conditional_cdf("source", 2, 0.5, (0.3,)) - 0.5) < 1e-14
+    for f in t.source.factors:
+        assert abs(f.cdf(0.5) - 0.5) < 1e-14
+    np.testing.assert_array_equal(t.kr_map([0.3, 0.5]), [0.3, 0.5])
 
 
 def test_tilt_conditional_cdf_value():
     t = tilt2x_transport()
-    assert abs(t.conditional_cdf("target", 1, 0.5) - 0.25) < 1e-14
+    assert abs(t.target.factors[0].cdf(0.5) - 0.25) < 1e-14
 
 
 def test_quadratic_factor_total_mass():
@@ -50,37 +47,40 @@ def test_quadratic_factor_total_mass():
         name="bump", params={}, pdf=pdf, cdf=cdf,
         lower=0.1 / 1.1, upper=1.6 / 1.1, lipschitz=6 / 1.1,
     )
-    src = dn.product_density([factor])
-    t = KrTransport(src, dn.uniform_density(1))
-    assert abs(t.conditional_cdf("source", 1, 1.0) - 1.0) < 1e-12
+    t = KrTransport(dn.product_density([factor]), dn.uniform_density(1))
+    assert abs(factor.cdf(1.0) - 1.0) < 1e-12
+    assert abs(t.kr_map([1.0])[0] - 1.0) < 1e-12
 
 
 def test_cdf_inverse_boundaries_and_value():
-    t = tilt2x_transport()
-    assert t.cdf_inverse("target", 1, 0.0) == 0.0
-    assert t.cdf_inverse("target", 1, 1.0) == 1.0
-    assert abs(t.cdf_inverse("target", 1, 0.25) - 0.5) < 1e-10
+    quantile = tilt2x_transport().target.factors[0].quantile
+    assert quantile(0.0) == 0.0
+    assert quantile(1.0) == 1.0
+    assert abs(quantile(0.25) - 0.5) < 1e-10
 
 
 def test_cdf_inverse_round_trip():
-    t = coupled_transport()
-    for x in np.linspace(0.05, 0.95, 7):
-        for prefix in [(0.2,), (0.8,)]:
-            u = t.conditional_cdf("target", 2, x, prefix)
-            back = t.cdf_inverse("target", 2, u, prefix)
-            assert abs(back - x) < 1e-9
+    # the tilt inverts in closed form, the cosine bump by guarded Newton
+    for f in mixed_transport().target.factors:
+        for x in np.linspace(0.05, 0.95, 7):
+            assert abs(f.quantile(f.cdf(x)) - x) < 1e-9
 
 
 def test_cdf_inverse_rejects_bad_u():
     t = tilt2x_transport()
     with pytest.raises(InvalidArgumentError):
-        t.cdf_inverse("target", 1, 1.5)
+        t.target.factors[0].quantile(1.5)
 
 
-def test_nonfactorized_high_dim_rejected():
-    dens = dn.custom_density(4, lambda x: np.ones(len(x)), 1.0, 1.0)
-    with pytest.raises(UnsupportedDimensionError):
-        KrTransport(dn.uniform_density(4), dens)
+def test_nonproduct_density_rejected():
+    coupled = dn.custom_density(
+        2, lambda x: (1.0 + 0.5 * x[:, 0] * x[:, 1]) / 1.125,
+        lower=1.0 / 1.125, upper=1.5 / 1.125, name="coupled",
+    )
+    with pytest.raises(InvalidArgumentError):
+        KrTransport(dn.uniform_density(2), coupled)
+    with pytest.raises(InvalidArgumentError):
+        KrTransport(coupled, dn.uniform_density(2))
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +104,17 @@ def test_sqrt_map_for_tilt_target():
 
 
 def test_triangular_dependence():
-    t = coupled_transport()
+    # the map of a product is diagonal: each component reads its own axis
+    t = mixed_transport()
     a = t.kr_map([0.3, 0.6])
     b = t.kr_map([0.3, 0.9])
-    assert abs(a[0] - b[0]) < 1e-12  # first component ignores x2
+    c = t.kr_map([0.7, 0.6])
+    assert a[0] == b[0]
+    assert a[1] == c[1]
 
 
 def test_componentwise_monotone():
-    t = coupled_transport()
+    t = mixed_transport()
     rng = np.random.default_rng(3)
     for k in range(2):
         for _ in range(100):
@@ -122,17 +125,17 @@ def test_componentwise_monotone():
 
 
 def test_endpoints_fixed():
-    t = coupled_transport()
-    for prefix in (0.25, 0.75):
-        lo = t.kr_map([prefix, 0.0])
-        hi = t.kr_map([prefix, 1.0])
+    t = mixed_transport()
+    for first in (0.25, 0.75):
+        lo = t.kr_map([first, 0.0])
+        hi = t.kr_map([first, 1.0])
         assert abs(lo[1] - 0.0) < 1e-9
         assert abs(hi[1] - 1.0) < 1e-9
 
 
 def test_pushforward_quadrature_consistency():
     # integral of qoi(T(x)) dnu == integral of qoi dmu, fine tensor Gauss rule
-    t = coupled_transport()
+    t = mixed_transport()
     gx, gw = np.polynomial.legendre.leggauss(33)
     gx = 0.5 * (gx + 1)
     gw = 0.5 * gw
@@ -178,7 +181,7 @@ def test_displacement_midpoint_value():
 
 
 def test_displacement_inverse_round_trip():
-    t = coupled_transport()
+    t = mixed_transport()
     rng = np.random.default_rng(4)
     for s in (0.0, 0.25, 0.5, 1.0):
         for x in rng.uniform(0.05, 0.95, size=(5, 2)):
@@ -209,7 +212,7 @@ def test_target_field_at_time_zero():
 
 
 def test_target_field_vanishing_normal_components():
-    t = coupled_transport()
+    t = mixed_transport()
     for s in (0.25, 0.75):
         for face_val in (0.0, 1.0):
             u = t.target_field(np.array([face_val, 0.5]), s)
