@@ -75,7 +75,7 @@ for _part in ("source", "target"):
 # width is checked against the dimension and the rest by TrainConfig
 _SCHEMA.update(
     (f"training.{f.name}", (f.type, {
-        "sample_size": (1, None), "batch_size": (1, None), "max_epochs": (0, None),
+        "sample_size": (1, None), "batch_size": (1, None), "max_epochs": (1, None),
         "hidden_depth": (1, None), "integrator_steps": (1, None), "holdout_fraction": (0, 1),
     }.get(f.name), False))
     for f in dataclasses.fields(TrainConfig) if f.name != "seed"

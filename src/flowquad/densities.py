@@ -2,8 +2,10 @@
 
 Built-in univariate families (uniform, linear tilt, cosine bump) carry
 closed-form CDFs and bounds so transport oracles and tests have exact
-references.  Multivariate densities are products of univariate factors,
-or arbitrary callables for the generic (non-factorized) code paths.
+references.  Every multivariate density is a product of such factors.
+monotone_inverse is the one guarded Newton solver for increasing maps on
+[0,1]: factor quantiles without a closed form use it, and so does the
+interpolation inverse in transport.
 """
 
 import math
@@ -42,22 +44,27 @@ class Density1D:
         if self.cdf_inverse is not None:
             x = np.clip(self.cdf_inverse(u), 0.0, 1.0)
         else:
-            x = _newton_bisect_quantile(self.cdf, self.pdf, u)
+            x = monotone_inverse(self.cdf, self.pdf, u)
         return float(x[0]) if scalar else x
 
 
-def _newton_bisect_quantile(cdf, pdf, u, tol=1e-12, max_iter=100):
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    x = u.copy()
+def monotone_inverse(f, fprime, y, tol=1e-12, max_iter=100):
+    """x in [0,1] with f(x) = y for an increasing f mapping [0,1] onto
+    itself, elementwise over the array y: Newton steps, with bisection of
+    the bracket wherever a step leaves it.  Every entry keeps stepping
+    until all have |f(x) - y| <= tol, so an entry's last bits depend on
+    its batch."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    lo = np.zeros_like(y)
+    hi = np.ones_like(y)
+    x = y.copy()
     for _ in range(max_iter):
-        fx = cdf(x) - u
+        fx = f(x) - y
         lo = np.where(fx <= 0, x, lo)
         hi = np.where(fx > 0, x, hi)
         if np.all(np.abs(fx) <= tol):
             break
-        step = fx / np.maximum(pdf(x), 1e-14)
+        step = fx / np.maximum(fprime(x), 1e-14)
         x_new = x - step
         outside = (x_new <= lo) | (x_new >= hi)
         x = np.where(outside, 0.5 * (lo + hi), x_new)
@@ -197,25 +204,23 @@ def make_density_1d(family, params=None):
 
 @dataclass(frozen=True)
 class Density:
-    """Probability density on [0,1]^dim.
+    """Product probability density on [0,1]^dim.
 
-    evaluate maps an (n, dim) array to (n,).  factors is the list of
-    univariate marginals when the density is a product, else None.
+    evaluate maps an (n, dim) array to (n,); factors holds the dim
+    univariate factors.  Build one with product_density.
     """
 
     dim: int
     evaluate: callable
     lower: float
     upper: float
-    factors: tuple = None
-    name: str = "custom"
-    lipschitz: float = math.inf
+    factors: tuple
+    name: str
+    lipschitz: float
 
     def grad_log_pdf(self, x):
-        """Gradient of log density; defined for factorized densities."""
+        """Gradient of the log density, factor by factor."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.factors is None:
-            raise InvalidArgumentError("grad_log_pdf needs a factorized density")
         out = np.empty_like(x)
         for i, f in enumerate(self.factors):
             if f.grad_log is None:
@@ -256,15 +261,6 @@ def product_density(factors, name=None):
 
 def uniform_density(dim):
     return product_density([uniform1d() for _ in range(dim)], name="uniform")
-
-
-def custom_density(dim, evaluate, lower, upper, name="custom", lipschitz=math.inf):
-    """Non-factorized density from a raw callable (test use; KrTransport
-    rejects it)."""
-    return Density(
-        dim=dim, evaluate=evaluate, lower=lower, upper=upper,
-        factors=None, name=name, lipschitz=lipschitz,
-    )
 
 
 def check_bounds_on_lattice(density):

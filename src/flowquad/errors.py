@@ -29,14 +29,6 @@ class UnsupportedDimensionError(FlowQuadError):
     """The requested operation has no oracle path in this dimension."""
 
 
-class InversionError(FlowQuadError):
-    """A monotone 1D inversion failed to bracket or converge."""
-
-    def __init__(self, message, axis=None):
-        super().__init__(message)
-        self.axis = axis
-
-
 class NumericalOverflowError(FlowQuadError):
     """A network produced a non-finite intermediate value."""
 

@@ -550,14 +550,17 @@ def save_checkpoint(net, path):
 
 
 def load_checkpoint(path):
-    with open(path) as fh:
-        magic = fh.readline().split()
-        if magic[:1] != [_CKPT_MAGIC] or int(magic[1]) != _CKPT_VERSION:
-            raise InvalidArgumentError(f"not a version-{_CKPT_VERSION} checkpoint: {path}")
-        header = fh.readline().split()
-        s = int(header[1])
-        mask = bool(int(header[3]))
-        widths = tuple(int(w) for w in header[5:])
-        theta = np.array([float(line) for line in fh if line.strip()])
-    arch = Architecture(widths, activation_power=s)
-    return MlpVectorField(arch, theta=theta, mask_enabled=mask)
+    """Read a save_checkpoint file; a malformed one raises
+    InvalidArgumentError naming the file."""
+    try:
+        with open(path) as fh:
+            magic, head = fh.readline().split(), fh.readline().split()
+            if magic != [_CKPT_MAGIC, str(_CKPT_VERSION)] or head[:5:2] != ["s", "mask", "widths"]:
+                raise ValueError(f"not a version-{_CKPT_VERSION} checkpoint")
+            theta = np.array([float(line) for line in fh if line.strip()])
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("non-finite parameter value")
+        arch = Architecture(tuple(int(w) for w in head[5:]), activation_power=int(head[1]))
+        return MlpVectorField(arch, theta=theta, mask_enabled=bool(int(head[3])))
+    except ValueError as exc:  # also a bad architecture, theta or encoding
+        raise InvalidArgumentError(f"malformed checkpoint {path}: {exc}") from None

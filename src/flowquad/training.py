@@ -43,6 +43,8 @@ class TrainConfig:
             raise InvalidArgumentError(f"beta must lie in (0, 1/2), got {self.beta}")
         if self.sample_size < 1:
             raise InvalidArgumentError("sample_size must be >= 1")
+        if round(self.holdout_fraction * self.sample_size) >= self.sample_size:
+            raise InvalidArgumentError("holdout_fraction holds out every sample")
         if self.optimizer not in ("adam", "momentum"):
             raise InvalidArgumentError(f"unknown optimizer {self.optimizer!r}")
         if not self.adaptive and (self.hidden_depth is None or self.width is None):
@@ -111,6 +113,8 @@ def train_erm(config, samples, source):
     perm = rng.permutation(n)
     hold = samples[perm[:n_hold]]
     train = samples[perm[n_hold:]]
+    if not len(train):
+        raise InvalidArgumentError(f"the holdout takes all {n} samples; none left to train on")
 
     lr = config.learning_rate
     vel = np.zeros_like(net.theta)

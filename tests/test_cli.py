@@ -391,6 +391,11 @@ def _report_of(text):
                                                   "hidden_depth": 5}),
                      id="training-adaptive-with-architecture"),
         pytest.param(_run_with("training", value={"width": 64}), id="training-width-alone"),
+        pytest.param(_run_with("training", value={"sample_size": 2, "holdout_fraction": 0.75}),
+                     id="training-holdout-takes-all-2"),
+        pytest.param(_run_with("training", value={"sample_size": 1, "holdout_fraction": 0.6}),
+                     id="training-holdout-takes-all-1"),
+        pytest.param(_run_with("training", "max_epochs", value=0), id="training-no-epochs"),
         pytest.param(_run_with("qoi", value={"family": "coordinate", "params": {"axis": 0.7}}),
                      id="qoi-axis-not-integral"),
         pytest.param(_run_with("qoi", value={"family": "product", "params": {"axis": 0}}),

@@ -81,18 +81,6 @@ def test_uniform_density_is_one():
     assert abs(dn.total_mass(dens) - 1.0) < 1e-10
 
 
-def test_custom_density_mass_check():
-    dens = dn.custom_density(
-        2,
-        lambda x: (1.0 + 0.5 * x[:, 0] * x[:, 1]) / 1.125,
-        lower=1.0 / 1.125,
-        upper=1.5 / 1.125,
-        name="coupled",
-    )
-    assert abs(dn.total_mass(dens) - 1.0) < 1e-10
-    dn.check_bounds_on_lattice(dens)
-
-
 def test_invalid_families_rejected():
     with pytest.raises(InvalidArgumentError):
         dn.linear_tilt(-0.1, 1.0)

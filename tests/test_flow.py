@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -221,7 +222,7 @@ def test_density_reads_source_at_flow_inverse(steps):
         read.append(z.copy())
         return np.ones(len(z))
 
-    source = dn.custom_density(2, evaluate, 1.0, 1.0)
+    source = dataclasses.replace(dn.uniform_density(2), evaluate=evaluate)
     fm = FlowMap(random_net(seed=5), dim=2, steps=steps)
     y = np.random.default_rng(12).uniform(0.05, 0.95, size=(12, 2))
     log_pushforward_density(fm, source, y)

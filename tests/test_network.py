@@ -500,3 +500,26 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back.theta, net.theta)
     x = np.random.default_rng(0).uniform(size=(3, 2))
     np.testing.assert_array_equal(back.forward(x, 0.3), net.forward(x, 0.3))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("flowquad-net\n", id="bare-magic"),
+        pytest.param("flowquad-net 1\n", id="no-header"),
+        pytest.param("flowquad-net 1\ns 2 mask\n", id="short-header"),
+        pytest.param("flowquad-net 1\ns two mask 1 widths 3 2\n", id="power-not-a-number"),
+        pytest.param("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\nabc\n", id="value-not-a-number"),
+        pytest.param("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\n", id="too-few-values"),
+        pytest.param("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\nnan\n0.5\n", id="value-nan"),
+        pytest.param(b"flowquad-net 1\n\xff\n", id="not-utf8"),
+    ],
+)
+def test_malformed_checkpoint_names_the_file(tmp_path, text):
+    path = tmp_path / "net.ckpt"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(InvalidArgumentError, match="net.ckpt"):
+        load_checkpoint(path)

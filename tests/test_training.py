@@ -94,6 +94,15 @@ def test_config_validation():
         TrainConfig(sample_size=8)  # no architecture, not adaptive
     with pytest.raises(InvalidArgumentError):
         TrainConfig(sample_size=8, adaptive=True, width=4)  # the schedule picks the width
+    with pytest.raises(InvalidArgumentError):
+        quick_config(sample_size=2, holdout_fraction=0.75)  # rounds to a holdout of 2
+
+
+def test_training_rejects_an_empty_training_split():
+    # the config holds out 5 of 8 samples; of the 1 that arrives it holds out 1
+    config = quick_config(sample_size=8, holdout_fraction=0.6)
+    with pytest.raises(InvalidArgumentError):
+        train_erm(config, np.array([[0.5]]), dn.uniform_density(1))
 
 
 def test_training_is_deterministic_and_projected():
