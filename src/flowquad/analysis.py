@@ -17,7 +17,6 @@ from .errors import InvalidArgumentError, UnsupportedDimensionError
 from .flow import flow_forward, log_pushforward_density
 from .quadrature import REFERENCE_POINTS, kahan_sum, lattice, tensor_gauss
 
-ORACLE_BLOCK_ROWS = 2048  # rows per flow_forward call of the dense oracle
 QOI_PROBE_POINTS = 33  # lattice points per axis of the QoI bound probe
 CHECK_SLACK = 5e-3  # absolute slack of the Pinsker and decomposition checks
 
@@ -88,10 +87,7 @@ def pullback_integral_oracle(fm, qoi, source):
     if fm.dim > 3:
         raise UnsupportedDimensionError("dense reference grid is limited to dim <= 3")
     pts, wt = tensor_gauss(fm.dim, REFERENCE_POINTS)
-    # bounded blocks keep the RK4 temporaries small; none is a single row
-    blocks = np.array_split(pts, -(-len(pts) // ORACLE_BLOCK_ROWS))
-    vals = [qoi.evaluate(flow_forward(fm, b)) * source.evaluate(b) for b in blocks]
-    return float(np.dot(wt, np.concatenate(vals)))
+    return float(np.dot(wt, qoi.evaluate(flow_forward(fm, pts)) * source.evaluate(pts)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from .errors import (
 )
 from .flow import FlowMap
 from .network import MlpVectorField, capacity_constants, save_checkpoint
-from .training import TrainConfig, adaptive_architecture, sample_threshold, train_erm
+from .training import (CONFIG_BOUNDS, TrainConfig, adaptive_architecture, sample_threshold,
+                       train_erm)
 from .transport import KrTransport
 
 EXIT_OK = 0
@@ -71,13 +72,11 @@ for _part in ("source", "target"):
         _SCHEMA[f"{_axis}.family"] = (str, None, False)
         _SCHEMA[f"{_axis}.params"] = (dict, None, False)
         _SCHEMA[f"{_axis}.params.*"] = (float, None, False)
-# the training keys are TrainConfig's fields, typed by their annotations;
-# width is checked against the dimension and the rest by TrainConfig
+# the training keys are TrainConfig's fields, typed by their annotations and
+# bounded by its table; width is checked against the dimension and the rest
+# by TrainConfig
 _SCHEMA.update(
-    (f"training.{f.name}", (f.type, {
-        "sample_size": (1, None), "batch_size": (1, None), "max_epochs": (1, None),
-        "hidden_depth": (1, None), "integrator_steps": (1, None), "holdout_fraction": (0, 1),
-    }.get(f.name), False))
+    (f"training.{f.name}", (f.type, CONFIG_BOUNDS.get(f.name), False))
     for f in dataclasses.fields(TrainConfig) if f.name != "seed"
 )
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",

@@ -17,6 +17,11 @@ as the primal, so every tangent and divergence-VJP product is one 2-D
 GEMM.  Only value_jacobian_divergence assembles the d x d Jacobian.  The
 adjoint recomputes each stage's forward cache instead of keeping it.
 
+Every layer-sized intermediate is written with out= into a workspace
+(MlpVectorField.workspace); a flow sweep passes one to all its stages, a
+call without one builds its own.  Fresh buffers above glibc's mmap
+threshold were mapped, page-faulted and unmapped on every stage.
+
 Also houses the exact B-spline / product-network constructions and the
 closed-form capacity and Lipschitz constant calculators.
 """
@@ -91,36 +96,24 @@ def relu_power(x, s):
 
 
 def _power_over(r, s):
-    """r**s, written over r.
-
-    Like the in-place bias add, this saves one batch-sized temporary per
-    layer.  At batches of a few thousand rows the allocator mapped and
-    unmapped such temporaries on every field evaluation: a value-only d=6
-    flow of 3,400 rows spent about a third of its time in page faults."""
+    """r**s, written over r."""
     if s == 1:
         return r
     return np.square(r, out=r) if s == 2 else np.power(r, s, out=r)
 
 
-def _act(a, s):
-    return _power_over(np.maximum(a, 0.0), s)
-
-
-def _act_and_d1(a, s):
-    """(sigma(a), sigma'(a)) from one np.maximum."""
-    r = np.maximum(a, 0.0)
-    if s == 1:
-        return r, (a > 0).astype(float)
-    d1 = 2.0 * r if s == 2 else s * r ** (s - 1)
-    return _power_over(r, s), d1
-
-
-def _act_d2(a, s):
-    if s == 1:
-        return np.zeros_like(a)
-    if s == 2:
-        return 2.0 * (a > 0).astype(float)
-    return s * (s - 1) * np.maximum(a, 0.0) ** (s - 2)
+def _deriv_over(r, s, k):
+    """k-th derivative (k = 1 or 2) of max(a, 0)**s, written over r = max(a, 0)."""
+    c = math.perm(s, k)  # s! / (s - k)!, 0 for k > s
+    if c == 0:
+        r.fill(0.0)
+    elif k == s:
+        np.greater(r, 0.0, out=r)
+    else:
+        r = _power_over(r, s - k)
+    if c > 1:
+        r *= c
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -179,58 +172,75 @@ class MlpVectorField:
     def clone(self):
         return MlpVectorField(self.arch, self._theta.copy(), self.mask_enabled)
 
-    # -- plumbing ----------------------------------------------------------
+    # -- workspaces --------------------------------------------------------
 
-    def _stack_input(self, x, t):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        tcol = np.broadcast_to(np.asarray(t, dtype=float), (len(x),)).reshape(-1, 1)
-        return x, np.concatenate([x, tcol], axis=1)
+    def workspace(self, rows, tangents):
+        """Buffers for `rows` rows, for the `ws` of forward, forward_with_cache
+        and vjp: pre-activations, activations, sigma', the reverse-mode
+        temporaries and, when `tangents`, the d stacked tangents.  A cache
+        built into a workspace aliases it until the next call that uses the
+        same workspace; a vjp may use the workspace of the cache it reads.
+        """
+        d, widths, hidden = self.dim, self.arch.widths[1:], self.arch.widths[1:-1]
+
+        def bufs(cols, k=1):
+            return [np.empty((k * rows, c)) for c in cols]
+
+        ws = {"u": np.empty((rows, d + 1)), "a": bufs(widths), "z": bufs(hidden),
+              "sp": bufs(hidden), "rz": bufs(hidden)}
+        if tangents:
+            # the input tangents are the unit rows, stacked (d*B, d+1)
+            ws.update(tz0=np.repeat(np.eye(d + 1)[:d], rows, axis=0), ta=bufs(widths, d),
+                      tz=bufs(hidden, d), spp=bufs(hidden), red=bufs(hidden),
+                      rtz=bufs(hidden, d), prod=bufs(hidden, d))
+        return ws
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, x, t):
-        """Field value; shape follows the input (single point or batch)."""
+    def forward(self, x, t, ws=None):
+        """Field value, a fresh array; shape follows the input (single point
+        or batch).  `ws` is an optional workspace for len(x) rows."""
         single = np.ndim(x) == 1
-        v = self._forward_cached(x, t, need_tangents=False)[0]
+        v = self._forward_cached(x, t, need_tangents=False, ws=ws)[0]
         return v[0] if single else v
 
     __call__ = forward
 
-    def _forward_cached(self, x, t, need_tangents):
-        x2, u = self._stack_input(x, t)
-        d, batch = self.dim, len(u)
-        zs = [u]
-        avals = []
+    def _forward_cached(self, x, t, need_tangents, ws=None):
+        x2 = np.atleast_2d(np.asarray(x, dtype=float))
+        d, batch, s = self.dim, len(x2), self.arch.activation_power
+        if ws is None:
+            ws = self.workspace(batch, need_tangents)
+        u = ws["u"]
+        u[:, :d] = x2
+        u[:, d] = t
+        zs = [u] + ws["z"]
+        avals = ws["a"]
         if need_tangents:
-            # stacked (d*B, width) blocks; the input tangents are unit vectors
-            tz = [np.repeat(np.eye(u.shape[1])[:d], batch, axis=0)]
-            ta = []
-            sps = []
+            tz, ta, sps = [ws["tz0"]] + ws["tz"], ws["ta"], ws["sp"]
         z = u
         for li, (w, b) in enumerate(self.layers):
             with np.errstate(invalid="ignore", over="ignore"):
-                a = z @ w.T
+                a = np.matmul(z, w.T, out=avals[li])
                 a += b
             if not np.all(np.isfinite(a)):
                 raise NumericalOverflowError(
                     f"non-finite activation in layer {li}", layer=li
                 )
-            avals.append(a)
             if need_tangents:
-                at = tz[-1] @ w.T
-                ta.append(at)
+                at = np.matmul(tz[li], w.T, out=ta[li])
             if li < len(self.layers) - 1:
+                z = np.maximum(a, 0.0, out=zs[li + 1])
                 if need_tangents:
-                    z, sp = _act_and_d1(a, self.arch.activation_power)
-                    sps.append(sp)
-                    tz.append((sp * at.reshape(d, batch, -1)).reshape(at.shape))
-                else:
-                    z = _act(a, self.arch.activation_power)
-                zs.append(z)
+                    np.copyto(sps[li], z)
+                    sp = _deriv_over(sps[li], s, 1)
+                    stacked = (d, batch, len(b))
+                    np.multiply(sp, at.reshape(stacked), out=tz[li + 1].reshape(stacked))
+                z = _power_over(z, s)
         raw = avals[-1]
         eta = x2 * (1.0 - x2)
         etap = 1.0 - 2.0 * x2
-        v = raw * eta if self.mask_enabled else raw
+        v = raw * eta if self.mask_enabled else raw.copy()
 
         cache = {
             "x": x2, "zs": zs, "avals": avals, "raw": raw,
@@ -265,16 +275,20 @@ class MlpVectorField:
         div = self._forward_cached(x, t, need_tangents=True)[1]["div"]
         return float(div[0]) if single else div
 
-    def forward_with_cache(self, x, t, need_tangents=False):
-        return self._forward_cached(x, t, need_tangents)
+    def forward_with_cache(self, x, t, need_tangents=False, ws=None):
+        """(v, cache): v and cache["div"] are fresh arrays; the rest of the
+        cache aliases `ws` (see workspace)."""
+        return self._forward_cached(x, t, need_tangents, ws)
 
     # -- reverse mode ------------------------------------------------------
 
-    def vjp(self, cache, lam_v=None, lam_div=None):
+    def vjp(self, cache, lam_v=None, lam_div=None, ws=None):
         """Gradient of sum_b [lam_v . v + lam_div * div] w.r.t. (theta, x).
 
         lam_div requires the cache to have been built with tangents.
-        Returns (grad_theta flat, grad_x (B, d)).
+        Returns fresh arrays (grad_theta flat, grad_x (B, d)); `ws` is an
+        optional workspace for the cache's rows, with tangents when lam_div
+        is given.
         """
         d, s = self.dim, self.arch.activation_power
         zs, avals = cache["zs"], cache["avals"]
@@ -290,6 +304,8 @@ class MlpVectorField:
             if "ta" not in cache:
                 raise InvalidArgumentError("divergence VJP needs a tangent-bearing cache")
             tz, ta = cache["tz"], cache["ta"]
+        if ws is None:
+            ws = self.workspace(batch, with_div)
         sps = cache.get("sps")
 
         if self.mask_enabled:
@@ -308,12 +324,10 @@ class MlpVectorField:
 
         gtheta = np.zeros_like(self._theta)
         o_end = len(self._theta)
-        gx = None
         for li in range(len(self.layers) - 1, -1, -1):
             w, b = self.layers[li]
             dout, din = w.shape
-            z = zs[li]
-            gw = r_a.T @ z
+            gw = r_a.T @ zs[li]
             gb = r_a.sum(axis=0)
             if with_div:
                 gw += r_t.T @ tz[li]
@@ -322,20 +336,24 @@ class MlpVectorField:
             gtheta[o_w:o_b] = gw.ravel()
             gtheta[o_b:o_end] = gb
             o_end = o_w
+            if li == 0:
+                break
 
-            r_z = r_a @ w
+            k = li - 1
+            r_z = np.matmul(r_a, w, out=ws["rz"][k])
+            sp = sps[k] if sps is not None else _deriv_over(
+                np.maximum(avals[k], 0.0, out=ws["sp"][k]), s, 1)
             if with_div:
-                r_tz = (r_t @ w).reshape(d, batch, din)
-            if li > 0:
-                a_prev = avals[li - 1]
-                sp = sps[li - 1] if sps is not None else _act_and_d1(a_prev, s)[1]
-                r_a = sp * r_z
-                if with_div:
-                    spp = _act_d2(a_prev, s)
-                    r_a += spp * (r_tz * ta[li - 1].reshape(d, batch, din)).sum(axis=0)
-                    r_t = (sp * r_tz).reshape(d * batch, din)
-            else:
-                gx = r_z[:, :d].copy()
+                r_tz = np.matmul(r_t, w, out=ws["rtz"][k]).reshape(d, batch, din)
+                spp = _deriv_over(np.maximum(avals[k], 0.0, out=ws["spp"][k]), s, 2)
+                prod = np.multiply(r_tz, ta[k].reshape(d, batch, din),
+                                   out=ws["prod"][k].reshape(d, batch, din))
+                red = np.multiply(spp, np.sum(prod, axis=0, out=ws["red"][k]), out=ws["red"][k])
+            r_a = np.multiply(sp, r_z, out=r_z)
+            if with_div:
+                r_a += red
+                r_t = np.multiply(sp, r_tz, out=r_tz).reshape(d * batch, din)
+        gx = (r_a @ w)[:, :d].copy()
 
         if self.mask_enabled:
             gx += lam_v * raw * etap

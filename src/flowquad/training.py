@@ -19,6 +19,12 @@ from .errors import InvalidArgumentError, TrainingFailureError
 from .flow import FlowMap, log_density_with_gradient, log_pushforward_density
 from .network import MlpVectorField, hypothesis_architecture
 
+# (low, high) bounds of TrainConfig fields, low <= value < high (high None:
+# no cap); the spec schema in cli reads the same table
+CONFIG_BOUNDS = {"sample_size": (1, None), "batch_size": (1, None), "max_epochs": (1, None),
+                 "hidden_depth": (1, None), "integrator_steps": (1, None),
+                 "holdout_fraction": (0, 1)}
+
 
 @dataclass
 class TrainConfig:
@@ -41,8 +47,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
             raise InvalidArgumentError(f"beta must lie in (0, 1/2), got {self.beta}")
-        if self.sample_size < 1:
-            raise InvalidArgumentError("sample_size must be >= 1")
+        for name, (low, high) in CONFIG_BOUNDS.items():
+            value = getattr(self, name)  # hidden_depth is None when adaptive
+            if value is not None and not (low <= value and (high is None or value < high)):
+                span = f">= {low}" if high is None else f"in [{low}, {high})"
+                raise InvalidArgumentError(f"{name} must be {span}, got {value}")
         if round(self.holdout_fraction * self.sample_size) >= self.sample_size:
             raise InvalidArgumentError("holdout_fraction holds out every sample")
         if self.optimizer not in ("adam", "momentum"):

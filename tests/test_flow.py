@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowquad import densities as dn
+from flowquad import flow
 from flowquad import quadrature as quad
 from flowquad.errors import IntegrationFailureError
 from flowquad.flow import (
@@ -125,6 +126,61 @@ def test_integration_failure_carries_step(entry):
     with pytest.raises(IntegrationFailureError) as err:
         entry(fm, np.array([0.5]))
     assert err.value.step == 0
+
+
+@pytest.mark.parametrize(
+    "entry, shape",
+    [
+        pytest.param(flow_forward, (0, 2), id="flow_forward"),
+        pytest.param(flow_inverse, (0, 2), id="flow_inverse"),
+        pytest.param(
+            lambda fm, y: log_pushforward_density(fm, dn.uniform_density(2), y), (0,),
+            id="log_pushforward_density",
+        ),
+    ],
+)
+@pytest.mark.parametrize("field", ["network", "transport"])
+def test_empty_batch_gives_empty_results(entry, shape, field):
+    if field == "network":
+        fm = FlowMap(random_net(seed=7), dim=2, steps=4)
+    else:
+        target = dn.product_density([dn.linear_tilt(0.0, 2.0), dn.cosine_bump(0.5)])
+        fm = FlowMap(TransportField(KrTransport(dn.uniform_density(2), target)), dim=2, steps=4)
+    assert entry(fm, np.empty((0, 2))).shape == shape
+
+
+def test_blocked_sweeps_equal_one_block(monkeypatch):
+    fm = FlowMap(random_net(seed=8), dim=2, steps=4)
+    source = dn.product_density([dn.linear_tilt(0.5, 1.0), dn.cosine_bump(0.3)])
+    x = np.random.default_rng(13).uniform(0.05, 0.95, size=(2 * flow.SWEEP_BLOCK_ROWS + 1, 2))
+
+    def sweeps():
+        return flow_forward(fm, x), flow_inverse(fm, x), log_pushforward_density(fm, source, x)
+
+    blocked = sweeps()
+    monkeypatch.setattr(flow, "SWEEP_BLOCK_ROWS", len(x))
+    for got, want in zip(blocked, sweeps()):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("full_blocks, extra", [(0, 1), (0, 5), (2, 1)])
+def test_sweeps_build_one_workspace_per_block(monkeypatch, full_blocks, extra):
+    rows = full_blocks * flow.SWEEP_BLOCK_ROWS + extra
+    built = []
+    make = MlpVectorField.workspace
+
+    def counting(net, n, tangents):
+        built.append(n)
+        return make(net, n, tangents)
+
+    monkeypatch.setattr(MlpVectorField, "workspace", counting)
+    fm = FlowMap(random_net(seed=9), dim=2, steps=4)
+    flow_forward(fm, np.full((rows, 2), 0.5))
+    assert sum(built) == rows
+    assert len(built) == -(-rows // flow.SWEEP_BLOCK_ROWS)
+    built.clear()
+    log_density_with_gradient(fm, dn.uniform_density(2), np.full((rows, 2), 0.5))
+    assert built == [rows, rows]
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,22 @@ def test_joint_vjp_matches_fd_on_batches(dim, depth, power, mask):
     x = rng.uniform(0.1, 0.9, size=(batch, dim))
     lam_v = rng.normal(size=(batch, dim))
     lam_div = rng.normal(size=batch)
-    _, cache = net.forward_with_cache(x, t, need_tangents=True)
+    v, cache = net.forward_with_cache(x, t, need_tangents=True)
+    div = cache["div"]
     g_an, gx_an = net.vjp(cache, lam_v=lam_v, lam_div=lam_div)
+
+    # one workspace, used first on other rows, gives the same bits; so does
+    # a value-only cache and vjp, which recompute sigma' into it
+    ws = net.workspace(batch, tangents=True)
+    net.vjp(net.forward_with_cache(1.0 - x, 0.9, need_tangents=True, ws=ws)[1],
+            lam_v=lam_v, lam_div=lam_div, ws=ws)
+    v_ws, cache_ws = net.forward_with_cache(x, t, need_tangents=True, ws=ws)
+    for got, want in zip((v_ws, cache_ws["div"], *net.vjp(cache_ws, lam_v, lam_div, ws=ws)),
+                         (v, div, g_an, gx_an)):
+        np.testing.assert_array_equal(got, want)
+    v_ws, cache_ws = net.forward_with_cache(x, t, ws=ws)
+    for got, want in zip(net.vjp(cache_ws, lam_v=lam_v, ws=ws), backward(net, x, t, lam_v)):
+        np.testing.assert_array_equal(got, want)
 
     def loss(probe, xs):
         v, c = probe.forward_with_cache(xs, t, need_tangents=True)
@@ -292,6 +306,18 @@ def test_joint_vjp_matches_fd_on_batches(dim, depth, power, mask):
 
     gx_fd = fd_gradient(lambda flat: loss(net, flat.reshape(batch, dim)), x.ravel())
     np.testing.assert_allclose(gx_an.ravel(), gx_fd, rtol=0, atol=1e-5 * np.max(np.abs(gx_fd)))
+
+
+@pytest.mark.parametrize("mask", [True, False])
+def test_forward_into_one_workspace_returns_fresh_values(mask):
+    net = small_net(2, 2, 8, seed=23, mask=mask)
+    x = np.random.default_rng(24).uniform(size=(2, 4, 2))
+    ws = net.workspace(4, tangents=False)
+    first = net.forward(x[0], 0.3, ws=ws)
+    kept = first.copy()
+    net.forward(x[1], 0.7, ws=ws)
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(first, net.forward(x[0], 0.3))
 
 
 def test_value_jacobian_divergence_matches_fd_on_batches():

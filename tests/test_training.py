@@ -98,6 +98,15 @@ def test_config_validation():
         quick_config(sample_size=2, holdout_fraction=0.75)  # rounds to a holdout of 2
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_epochs", 0), ("batch_size", 0), ("batch_size", -3), ("integrator_steps", 0),
+    ("holdout_fraction", -0.25),
+])
+def test_config_rejects_settings_that_train_nothing(name, value):
+    with pytest.raises(InvalidArgumentError, match=name):
+        quick_config(**{name: value})
+
+
 def test_training_rejects_an_empty_training_split():
     # the config holds out 5 of 8 samples; of the 1 that arrives it holds out 1
     config = quick_config(sample_size=8, holdout_fraction=0.6)
