@@ -8,8 +8,8 @@ integral; its parameter gradient differentiates the discrete RK4 map
 exactly (discretize-then-differentiate), so finite differences of the
 implemented map agree to rounding.
 
-The forward map, inverse and density run in row blocks with one network
-workspace per block (_sweep).  The adjoint runs whole, since summing its
+The forward map, inverse and density run in row blocks of at most
+SWEEP_BLOCK_ROWS rows (_sweep).  The adjoint runs whole, since summing its
 gradient over blocks would reorder the sums.
 """
 
@@ -115,13 +115,6 @@ def _excursion(x):
     return float(max(np.max(x - 1.0, initial=0.0), np.max(-x, initial=0.0)))
 
 
-def _ws(field, rows, tangents=False):
-    """Keywords that evaluate `field` on `rows` rows into one workspace;
-    none for a field without workspaces."""
-    make = getattr(field, "workspace", None)
-    return {} if make is None else {"ws": make(rows, tangents)}
-
-
 def _rk4(rhs, y, steps, stages=None):
     """Integrate dy/ds = rhs(y, s) over [0, 1] with `steps` uniform RK4 steps.
 
@@ -155,20 +148,17 @@ def _rk4(rhs, y, steps, stages=None):
     return np.clip(y, 0.0, 1.0), acc, worst
 
 
-def _sweep(fm, x, rhs, tangents=False):
-    """_rk4 of rhs(u, s, kw) from the rows of x, in row blocks of at most
-    SWEEP_BLOCK_ROWS rows; kw holds the field keywords of one block (_ws).
+def _sweep(fm, x, rhs):
+    """_rk4 of rhs from the rows of x, in row blocks of at most
+    SWEEP_BLOCK_ROWS rows.
 
     Blocks have near-equal sizes, so none has a single row unless x has:
     a 1-row product takes another BLAS path, which moves the last bits.
     Returns the concatenated states and divergence integrals and the
     largest excursion; a failure reports its step in the first failing block.
     """
-    parts = []
-    for b in np.array_split(x, max(1, -(-len(x) // SWEEP_BLOCK_ROWS))):
-        kw = _ws(fm.field, len(b), tangents)
-        parts.append(_rk4(lambda u, s: rhs(u, s, kw), b, fm.steps))
-    y, acc, worst = zip(*parts)
+    blocks = np.array_split(x, max(1, -(-len(x) // SWEEP_BLOCK_ROWS)))
+    y, acc, worst = zip(*(_rk4(rhs, b, fm.steps) for b in blocks))
     return np.concatenate(y), np.concatenate(acc), max(worst)
 
 
@@ -179,7 +169,7 @@ def flow_forward(fm, x, return_excursion=False):
     return_excursion (the boundary mask keeps it at integrator-error size).
     """
     y, single = _as_batch(x, fm.dim)
-    y, _, worst = _sweep(fm, y, lambda u, t, kw: (fm.field(u, t, **kw), 0.0))
+    y, _, worst = _sweep(fm, y, lambda u, t: (fm.field(u, t), 0.0))
     out = y[0] if single else y
     return (out, worst) if return_excursion else out
 
@@ -191,15 +181,15 @@ def flow_inverse(fm, y):
     log-density reads, so it returns the point where the source is read.
     """
     z, single = _as_batch(y, fm.dim)
-    z = _sweep(fm, z, lambda u, s, kw: (-fm.field(u, 1.0 - s, **kw), 0.0))[0]
+    z = _sweep(fm, z, lambda u, s: (-fm.field(u, 1.0 - s), 0.0))[0]
     return z[0] if single else z
 
 
-def _aug_rhs(fm, w, s, kw):
+def _aug_rhs(fm, w, s):
     """Stage derivative of the backward state (position, divergence integral)."""
     t = 1.0 - s
     if hasattr(fm.field, "forward_with_cache"):
-        v, cache = fm.field.forward_with_cache(w, t, need_tangents=True, **kw)
+        v, cache = fm.field.forward_with_cache(w, t, need_tangents=True)
         return -v, cache["div"]
     return -fm.field(w, t), fm.field.divergence(w, t)
 
@@ -218,7 +208,7 @@ def _log_source(source, z0):
 
 def _log_density_sweep(fm, source, w):
     """Clipped preimages of w and their log-densities, in one backward RK4 sweep."""
-    z0, acc, _ = _sweep(fm, w, lambda u, s, kw: _aug_rhs(fm, u, s, kw), tangents=True)
+    z0, acc, _ = _sweep(fm, w, lambda u, s: _aug_rhs(fm, u, s))
     return z0, _log_source(source, z0) - acc
 
 
@@ -253,8 +243,7 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
 
     h = 1.0 / fm.steps
     stages = []  # four stage inputs per step of the value-only forward sweep
-    value_kw = _ws(net, batch)
-    z0 = _rk4(lambda u, s: (-net(u, 1.0 - s, **value_kw), 0.0), w, fm.steps, stages)[0]
+    z0 = _rk4(lambda u, s: (-net(u, 1.0 - s), 0.0), w, fm.steps, stages)[0]
     log_source = _log_source(source, z0)
 
     # reverse sweep: lam tracks the cotangent on the running position,
@@ -263,13 +252,11 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     lam_d = -c.ravel()
     grad = np.zeros_like(net.theta)
     divs = [None] * (4 * fm.steps)  # read from the reverse sweep's tangent caches
-    tangent_kw = _ws(net, batch, tangents=True)
 
     def stage_vjp(i, s_stage, alpha, delta):
-        _, cache = net.forward_with_cache(stages[i], 1.0 - s_stage, need_tangents=True,
-                                          **tangent_kw)
-        divs[i] = cache["div"]  # a fresh array, not a workspace buffer
-        return net.vjp(cache, lam_v=-alpha, lam_div=delta, **tangent_kw)
+        _, cache = net.forward_with_cache(stages[i], 1.0 - s_stage, need_tangents=True)
+        divs[i] = cache["div"]  # a fresh array, not a network buffer
+        return net.vjp(cache, lam_v=-alpha, lam_div=delta)
 
     for n in range(fm.steps - 1, -1, -1):
         s, i = n * h, 4 * n

@@ -17,10 +17,11 @@ as the primal, so every tangent and divergence-VJP product is one 2-D
 GEMM.  Only value_jacobian_divergence assembles the d x d Jacobian.  The
 adjoint recomputes each stage's forward cache instead of keeping it.
 
-Every layer-sized intermediate is written with out= into a workspace
-(MlpVectorField.workspace); a flow sweep passes one to all its stages, a
-call without one builds its own.  Fresh buffers above glibc's mmap
-threshold were mapped, page-faulted and unmapped on every stage.
+Every layer-sized intermediate is written with out= into scratch buffers
+that the field owns: one set for value-only evaluations and one for
+evaluations with tangents, each rebuilt only when the row count changes.
+Fresh buffers above glibc's mmap threshold were mapped, page-faulted and
+unmapped on every RK4 stage.
 
 Also houses the exact B-spline / product-network constructions and the
 closed-form capacity and Lipschitz constant calculators.
@@ -127,7 +128,14 @@ class MlpVectorField:
     Parameters live in one flat vector; per-layer weight matrices are
     views into it, so in-place updates of `theta` stay consistent.
     Evaluation is pure given a parameter snapshot; `clone` returns an
-    independent copy whose parameters change apart from this one's.
+    independent copy whose parameters and buffers are apart from this one's.
+
+    Evaluations write their intermediates into buffers the field keeps
+    (one set per tangent flag, rebuilt when the row count changes).  Every
+    array a public method returns is fresh, but the cache of
+    `forward_with_cache` aliases the buffers: it is valid until this
+    field's next evaluation (a `vjp` of the cache does not end it).  So
+    one field must not be evaluated from two threads at once.
     """
 
     def __init__(self, arch, theta=None, mask_enabled=True, rng=None):
@@ -147,6 +155,7 @@ class MlpVectorField:
         if theta.shape != (q,):
             raise InvalidArgumentError(f"theta must have shape ({q},), got {theta.shape}")
         self._theta = theta.copy()
+        self._scratch = {False: None, True: None}
         self._build_views()
 
     def _build_views(self):
@@ -172,15 +181,18 @@ class MlpVectorField:
     def clone(self):
         return MlpVectorField(self.arch, self._theta.copy(), self.mask_enabled)
 
-    # -- workspaces --------------------------------------------------------
+    # -- scratch buffers ---------------------------------------------------
 
-    def workspace(self, rows, tangents):
-        """Buffers for `rows` rows, for the `ws` of forward, forward_with_cache
-        and vjp: pre-activations, activations, sigma', the reverse-mode
-        temporaries and, when `tangents`, the d stacked tangents.  A cache
-        built into a workspace aliases it until the next call that uses the
-        same workspace; a vjp may use the workspace of the cache it reads.
+    def _buffers(self, rows, tangents):
+        """The buffer set for `rows` rows: input rows, pre-activations,
+        activations, sigma', the reverse-mode temporaries and, when
+        `tangents`, the d stacked tangents.  The set of each tangent flag is
+        kept and rebuilt only when the row count changes.  A vjp writes only
+        buffers its cache does not read.
         """
+        ws = self._scratch[tangents]
+        if ws is not None and len(ws["u"]) == rows:
+            return ws
         d, widths, hidden = self.dim, self.arch.widths[1:], self.arch.widths[1:-1]
 
         def bufs(cols, k=1):
@@ -193,24 +205,24 @@ class MlpVectorField:
             ws.update(tz0=np.repeat(np.eye(d + 1)[:d], rows, axis=0), ta=bufs(widths, d),
                       tz=bufs(hidden, d), spp=bufs(hidden), red=bufs(hidden),
                       rtz=bufs(hidden, d), prod=bufs(hidden, d))
+        self._scratch[tangents] = ws
         return ws
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, x, t, ws=None):
+    def forward(self, x, t):
         """Field value, a fresh array; shape follows the input (single point
-        or batch).  `ws` is an optional workspace for len(x) rows."""
+        or batch)."""
         single = np.ndim(x) == 1
-        v = self._forward_cached(x, t, need_tangents=False, ws=ws)[0]
+        v = self._forward_cached(x, t, need_tangents=False)[0]
         return v[0] if single else v
 
     __call__ = forward
 
-    def _forward_cached(self, x, t, need_tangents, ws=None):
+    def _forward_cached(self, x, t, need_tangents):
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         d, batch, s = self.dim, len(x2), self.arch.activation_power
-        if ws is None:
-            ws = self.workspace(batch, need_tangents)
+        ws = self._buffers(batch, need_tangents)
         u = ws["u"]
         u[:, :d] = x2
         u[:, d] = t
@@ -267,6 +279,8 @@ class MlpVectorField:
             jac = cache["eta"][:, :, None] * jac
             idx = np.arange(d)
             jac[:, idx, idx] += cache["etap"] * raw
+        else:
+            jac = jac.copy()  # not a view of the buffers
         return v, jac, cache["div"]
 
     def divergence(self, x, t):
@@ -275,20 +289,18 @@ class MlpVectorField:
         div = self._forward_cached(x, t, need_tangents=True)[1]["div"]
         return float(div[0]) if single else div
 
-    def forward_with_cache(self, x, t, need_tangents=False, ws=None):
+    def forward_with_cache(self, x, t, need_tangents=False):
         """(v, cache): v and cache["div"] are fresh arrays; the rest of the
-        cache aliases `ws` (see workspace)."""
-        return self._forward_cached(x, t, need_tangents, ws)
+        cache aliases the field's buffers until its next evaluation."""
+        return self._forward_cached(x, t, need_tangents)
 
     # -- reverse mode ------------------------------------------------------
 
-    def vjp(self, cache, lam_v=None, lam_div=None, ws=None):
+    def vjp(self, cache, lam_v=None, lam_div=None):
         """Gradient of sum_b [lam_v . v + lam_div * div] w.r.t. (theta, x).
 
         lam_div requires the cache to have been built with tangents.
-        Returns fresh arrays (grad_theta flat, grad_x (B, d)); `ws` is an
-        optional workspace for the cache's rows, with tangents when lam_div
-        is given.
+        Returns fresh arrays (grad_theta flat, grad_x (B, d)).
         """
         d, s = self.dim, self.arch.activation_power
         zs, avals = cache["zs"], cache["avals"]
@@ -304,8 +316,7 @@ class MlpVectorField:
             if "ta" not in cache:
                 raise InvalidArgumentError("divergence VJP needs a tangent-bearing cache")
             tz, ta = cache["tz"], cache["ta"]
-        if ws is None:
-            ws = self.workspace(batch, with_div)
+        ws = self._buffers(batch, with_div)
         sps = cache.get("sps")
 
         if self.mask_enabled:

@@ -163,24 +163,49 @@ def test_blocked_sweeps_equal_one_block(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
+def counting_buffers(monkeypatch):
+    """Row counts of the network buffer sets built from now on, in order."""
+    built, fetch = [], MlpVectorField._buffers
+
+    def counting(net, rows, tangents):
+        bufs = fetch(net, rows, tangents)
+        if not any(bufs is b for b in built):
+            built.append(bufs)
+        return bufs
+
+    monkeypatch.setattr(MlpVectorField, "_buffers", counting)
+    return built
+
+
 @pytest.mark.parametrize("full_blocks, extra", [(0, 1), (0, 5), (2, 1)])
 def test_sweeps_build_one_workspace_per_block(monkeypatch, full_blocks, extra):
+    # the network keeps one buffer set per tangent flag, so a sweep builds
+    # one per distinct block size (2,049 rows are three 683-row blocks)
     rows = full_blocks * flow.SWEEP_BLOCK_ROWS + extra
-    built = []
-    make = MlpVectorField.workspace
-
-    def counting(net, n, tangents):
-        built.append(n)
-        return make(net, n, tangents)
-
-    monkeypatch.setattr(MlpVectorField, "workspace", counting)
+    blocks = -(-rows // flow.SWEEP_BLOCK_ROWS)
+    built = counting_buffers(monkeypatch)
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     flow_forward(fm, np.full((rows, 2), 0.5))
-    assert sum(built) == rows
-    assert len(built) == -(-rows // flow.SWEEP_BLOCK_ROWS)
+    flow_forward(fm, np.full((rows, 2), 0.25))
+    assert [len(b["u"]) for b in built] == sorted({-(-rows // blocks), rows // blocks},
+                                                  reverse=True)
     built.clear()
+    fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     log_density_with_gradient(fm, dn.uniform_density(2), np.full((rows, 2), 0.5))
-    assert built == [rows, rows]
+    assert [len(b["u"]) for b in built] == [rows, rows]
+
+
+def test_adjoint_builds_buffers_once_per_batch_size(monkeypatch):
+    built = counting_buffers(monkeypatch)
+    fm = FlowMap(random_net(seed=10), dim=2, steps=4)
+    x = np.random.default_rng(11).uniform(0.1, 0.9, size=(7, 2))
+    first = log_density_with_gradient(fm, dn.uniform_density(2), x)
+    second = log_density_with_gradient(fm, dn.uniform_density(2), x)
+    assert len(built) == 2  # one value and one tangent set
+    for got, want in zip(second, first):
+        np.testing.assert_array_equal(got, want)
+    log_density_with_gradient(fm, dn.uniform_density(2), x[:5])
+    assert [len(b["u"]) for b in built] == [7, 7, 5, 5]
 
 
 # ---------------------------------------------------------------------------

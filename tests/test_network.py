@@ -281,17 +281,17 @@ def test_joint_vjp_matches_fd_on_batches(dim, depth, power, mask):
     div = cache["div"]
     g_an, gx_an = net.vjp(cache, lam_v=lam_v, lam_div=lam_div)
 
-    # one workspace, used first on other rows, gives the same bits; so does
-    # a value-only cache and vjp, which recompute sigma' into it
-    ws = net.workspace(batch, tangents=True)
-    net.vjp(net.forward_with_cache(1.0 - x, 0.9, need_tangents=True, ws=ws)[1],
-            lam_v=lam_v, lam_div=lam_div, ws=ws)
-    v_ws, cache_ws = net.forward_with_cache(x, t, need_tangents=True, ws=ws)
-    for got, want in zip((v_ws, cache_ws["div"], *net.vjp(cache_ws, lam_v, lam_div, ws=ws)),
+    # the network's buffers, used on other rows in between, give the same
+    # bits; so does a value-only cache and vjp, which recompute sigma' into
+    # them, against a fresh network
+    net.vjp(net.forward_with_cache(1.0 - x, 0.9, need_tangents=True)[1],
+            lam_v=lam_v, lam_div=lam_div)
+    v_again, cache_again = net.forward_with_cache(x, t, need_tangents=True)
+    for got, want in zip((v_again, cache_again["div"], *net.vjp(cache_again, lam_v, lam_div)),
                          (v, div, g_an, gx_an)):
         np.testing.assert_array_equal(got, want)
-    v_ws, cache_ws = net.forward_with_cache(x, t, ws=ws)
-    for got, want in zip(net.vjp(cache_ws, lam_v=lam_v, ws=ws), backward(net, x, t, lam_v)):
+    cache_again = net.forward_with_cache(x, t)[1]
+    for got, want in zip(net.vjp(cache_again, lam_v=lam_v), backward(net.clone(), x, t, lam_v)):
         np.testing.assert_array_equal(got, want)
 
     def loss(probe, xs):
@@ -310,14 +310,26 @@ def test_joint_vjp_matches_fd_on_batches(dim, depth, power, mask):
 
 @pytest.mark.parametrize("mask", [True, False])
 def test_forward_into_one_workspace_returns_fresh_values(mask):
+    # two evaluations into the network's one value buffer set
     net = small_net(2, 2, 8, seed=23, mask=mask)
     x = np.random.default_rng(24).uniform(size=(2, 4, 2))
-    ws = net.workspace(4, tangents=False)
-    first = net.forward(x[0], 0.3, ws=ws)
+    first = net.forward(x[0], 0.3)
     kept = first.copy()
-    net.forward(x[1], 0.7, ws=ws)
+    net.forward(x[1], 0.7)
     np.testing.assert_array_equal(first, kept)
-    np.testing.assert_array_equal(first, net.forward(x[0], 0.3))
+    np.testing.assert_array_equal(first, net.clone().forward(x[0], 0.3))
+
+
+@pytest.mark.parametrize("mask", [True, False])
+def test_value_jacobian_divergence_results_survive_later_evaluations(mask):
+    net = small_net(2, 2, 8, seed=25, mask=mask)
+    x = np.random.default_rng(26).uniform(size=(2, 4, 2))
+    first = net.value_jacobian_divergence(x[0], 0.3)
+    kept = [a.copy() for a in first]
+    net.value_jacobian_divergence(x[1], 0.7)
+    net.forward_with_cache(x[1], 0.7, need_tangents=True)
+    for got, want in zip(first, kept):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_value_jacobian_divergence_matches_fd_on_batches():
