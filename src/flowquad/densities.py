@@ -51,24 +51,27 @@ class Density1D:
 def monotone_inverse(f, fprime, y, tol=1e-12, max_iter=100):
     """x in [0,1] with f(x) = y for an increasing f mapping [0,1] onto
     itself, elementwise over the array y: Newton steps, with bisection of
-    the bracket wherever a step leaves it.  Every entry keeps stepping
-    until all have |f(x) - y| <= tol, so an entry's last bits depend on
-    its batch."""
+    the bracket wherever a step leaves it.  An entry stops stepping once
+    |f(x) - y| <= tol, so its result does not depend on its batch."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    shape, y = y.shape, y.ravel()
     lo = np.zeros_like(y)
     hi = np.ones_like(y)
     x = y.copy()
+    live = np.arange(len(y))  # the entries still above tol
     for _ in range(max_iter):
-        fx = f(x) - y
-        lo = np.where(fx <= 0, x, lo)
-        hi = np.where(fx > 0, x, hi)
-        if np.all(np.abs(fx) <= tol):
+        fx = f(x[live]) - y[live]
+        open_ = np.abs(fx) > tol
+        live, fx = live[open_], fx[open_]
+        if not len(live):
             break
-        step = fx / np.maximum(fprime(x), 1e-14)
-        x_new = x - step
-        outside = (x_new <= lo) | (x_new >= hi)
-        x = np.where(outside, 0.5 * (lo + hi), x_new)
-    return x
+        xl = x[live]
+        lo[live] = np.where(fx <= 0, xl, lo[live])
+        hi[live] = np.where(fx > 0, xl, hi[live])
+        x_new = xl - fx / np.maximum(fprime(xl), 1e-14)
+        outside = (x_new <= lo[live]) | (x_new >= hi[live])
+        x[live] = np.where(outside, 0.5 * (lo[live] + hi[live]), x_new)
+    return x.reshape(shape)
 
 
 def uniform1d():

@@ -220,11 +220,17 @@ def test_batched_inverse_and_field_equal_row_calls(s):
     t = mixed_transport()
     ys = np.random.default_rng(6).uniform(size=(40, 2))
     ys[:4] = [[0.0, 0.5], [1.0, 0.5], [0.5, 0.0], [0.5, 1.0]]
-    # the solver stops every row at residual 1e-12 and keeps stepping the
-    # rows of a batch until all have, so the two agree to that size only
+    # the solver stops each row once its own residual is below 1e-12
     for query in (t.displacement_inverse, t.target_field):
         rows = np.array([query(y, s) for y in ys])
-        np.testing.assert_allclose(query(ys, s), rows, rtol=0, atol=1e-11)
+        np.testing.assert_array_equal(query(ys, s), rows)
+
+
+def test_kr_map_batch_equals_row_calls():
+    target = dn.product_density([dn.cosine_bump(0.5), dn.cosine_bump(-0.3, freq=2, phase=0.25)])
+    t = KrTransport(dn.uniform_density(2), target)
+    xs = np.random.default_rng(7).uniform(size=(200, 2))
+    np.testing.assert_array_equal(t.kr_map_batch(xs), [t.kr_map(x) for x in xs])
 
 
 def test_flow_consistency_against_interpolation():
