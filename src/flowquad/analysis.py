@@ -19,6 +19,7 @@ from .quadrature import REFERENCE_POINTS, kahan_sum, lattice, tensor_gauss
 
 QOI_PROBE_POINTS = 33  # lattice points per axis of the QoI bound probe
 CHECK_SLACK = 5e-3  # absolute slack of the Pinsker and decomposition checks
+DENSE_MAX_DIM = 3  # largest dim of the dense reference and oracle grids
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,23 @@ def make_qoi(family, dim, params=None):
 # ---------------------------------------------------------------------------
 
 
+def _dense_grid(dim):
+    """Nodes and weights of the dense reference grid (dim <= DENSE_MAX_DIM)."""
+    if dim > DENSE_MAX_DIM:
+        raise UnsupportedDimensionError(
+            f"dense reference grid is limited to dim <= {DENSE_MAX_DIM}")
+    return tensor_gauss(dim, REFERENCE_POINTS)
+
+
 def reference_expectation(target, qoi):
-    """Dense-grid value of E_target[qoi] (dim <= 3)."""
-    if target.dim > 3:
-        raise UnsupportedDimensionError("dense reference grid is limited to dim <= 3")
-    pts, wt = tensor_gauss(target.dim, REFERENCE_POINTS)
+    """Dense-grid value of E_target[qoi]."""
+    pts, wt = _dense_grid(target.dim)
     return float(np.dot(wt, qoi.evaluate(pts) * target.evaluate(pts)))
 
 
 def pullback_integral_oracle(fm, qoi, source):
     """Dense-grid value of the integral of qoi(flow(x)) against the source."""
-    if fm.dim > 3:
-        raise UnsupportedDimensionError("dense reference grid is limited to dim <= 3")
-    pts, wt = tensor_gauss(fm.dim, REFERENCE_POINTS)
+    pts, wt = _dense_grid(fm.dim)
     return float(np.dot(wt, qoi.evaluate(flow_forward(fm, pts)) * source.evaluate(pts)))
 
 

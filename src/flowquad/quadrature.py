@@ -20,6 +20,7 @@ the reference oracles and the bound probes of the other modules.
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -293,13 +294,11 @@ class SparseGrid:
 
 
 def _compositions(total, parts):
-    """All tuples of `parts` positive integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` positive integers summing to `total`, in
+    lexicographic order: the gaps between cut points 0 < c_1 < ... < total."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        ends = (0,) + cuts + (total,)
+        yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
 def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
@@ -343,13 +342,19 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
         coeff = (-1) ** (q - total) * math.comb(dim - 1, q - total)
         for entries in _compositions(total, dim):
             terms.append((MultiIndex(entries), coeff))
-            term = np.empty([growth(k) for k in entries] + [dim], dtype=np.int64)
-            for i, k in enumerate(entries):  # axis i varies along tensor axis i
-                term[..., i] = positions[k - 1].reshape((-1,) + (1,) * (dim - 1 - i))
-            rows.append(term.reshape(-1, dim))
+            # tensor rows, last axis fastest; kept 2-D, since an array may
+            # have at most 64 axes
+            sizes = [growth(k) for k in entries]
+            term = np.empty((math.prod(sizes), dim), dtype=np.int64)
+            outer = 1
+            for i, k in enumerate(entries):
+                term.reshape(outer, sizes[i], -1, dim)[..., i] = positions[k - 1][:, None]
+                outer *= sizes[i]
+            rows.append(term)
             # products in axis order from the coefficient, last axis fastest
             w_axes = (rules[i][k - 1].weights for i, k in enumerate(entries))
-            parts.append(functools.reduce(np.multiply.outer, w_axes, float(coeff)).ravel())
+            parts.append(functools.reduce(lambda p, w: np.multiply.outer(p, w).ravel(),
+                                          w_axes, float(coeff)))
 
     rows = np.concatenate(rows)
     # one opaque key per index row, so equal rows compare equal

@@ -115,6 +115,17 @@ def test_cli_grid_exit_codes(tmp_path):
     assert cli.main(["grid", "--spec", bad_file, "--out", str(tmp_path / "g")]) == 2
 
 
+def test_grid_at_dim_1500_level_0_is_the_center(tmp_path, capsys):
+    # the Smolyak combinations were generated by recursion one level per
+    # axis, and a tensor term was an array with one axis per dimension
+    spec_file = write_spec(tmp_path, spec_payload(dim=1500, grid={"levels": [0]}, training={}))
+    assert cli.main(["grid", "--spec", spec_file, "--out", str(tmp_path / "g")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    grid = read_grid(str(tmp_path / "g" / "grid_d1500_l0.txt"))
+    np.testing.assert_array_equal(grid.nodes, np.full((1, 1500), 0.5))
+    np.testing.assert_allclose(grid.weights, [1.0], rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------
@@ -179,13 +190,13 @@ def test_cli_calc_exit_ok():
     assert cli.main(["calc", "schedule", "n=1e6", "beta=0.25"]) == 0
 
 
-def _python(args, tmp_path):
+def _python(args, tmp_path, timeout=300):
     """Run `python args` in a fresh process that imports this flowquad."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(flowquad.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 _FOOTPRINT = """
@@ -207,6 +218,16 @@ def test_grid_run_report_import_neither_scipy_nor_mpmath(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_run_rejects_a_huge_dim_before_building_densities(tmp_path):
+    # a product density's bounds take O(dim^2): dim 30,000 ran for minutes
+    spec_file = write_spec(tmp_path, spec_payload(dim=10**6, training={}))
+    done = _python(["-m", "flowquad.cli", "run", "--spec", spec_file, "--out", "o"],
+                   tmp_path, timeout=20)
+    assert done.returncode == 2
+    assert "limited to dim <= 3" in done.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_module_entry_point_prints_constants_without_warning(tmp_path):
