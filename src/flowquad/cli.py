@@ -270,8 +270,7 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     callers that pass it keep working."""
     if threads != 1:
         raise InvalidArgumentError(f"threads must be 1, got {threads!r}")
-    # before any density is built: a product density's bounds take O(dim^2)
-    if spec.dim > an.DENSE_MAX_DIM:
+    if spec.dim > an.DENSE_MAX_DIM:  # before a density's O(dim^2) bounds are built
         raise ConfigurationError(f"'dim': dense reference grid is limited to dim <= "
                                  f"{an.DENSE_MAX_DIM}", field="dim")
     source = _density_from_spec(spec.source, spec.dim)

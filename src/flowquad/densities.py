@@ -54,24 +54,23 @@ def monotone_inverse(f, fprime, y, tol=1e-12, max_iter=100):
     the bracket wherever a step leaves it.  An entry stops stepping once
     |f(x) - y| <= tol, so its result does not depend on its batch."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    shape, y = y.shape, y.ravel()
     lo = np.zeros_like(y)
     hi = np.ones_like(y)
     x = y.copy()
-    live = np.arange(len(y))  # the entries still above tol
+    live = np.ones(y.shape, dtype=bool)  # the entries still above tol
     for _ in range(max_iter):
         fx = f(x[live]) - y[live]
         open_ = np.abs(fx) > tol
-        live, fx = live[open_], fx[open_]
-        if not len(live):
+        live[live] = open_
+        if not open_.any():
             break
-        xl = x[live]
+        xl, fx = x[live], fx[open_]
         lo[live] = np.where(fx <= 0, xl, lo[live])
         hi[live] = np.where(fx > 0, xl, hi[live])
         x_new = xl - fx / np.maximum(fprime(xl), 1e-14)
         outside = (x_new <= lo[live]) | (x_new >= hi[live])
         x[live] = np.where(outside, 0.5 * (lo[live] + hi[live]), x_new)
-    return x.reshape(shape)
+    return x
 
 
 def uniform1d():

@@ -17,11 +17,9 @@ as the primal, so every tangent and divergence-VJP product is one 2-D
 GEMM.  Only value_jacobian_divergence assembles the d x d Jacobian.  The
 adjoint recomputes each stage's forward cache instead of keeping it.
 
-Every layer-sized intermediate is written with out= into scratch buffers
-that the field owns: one set for value-only evaluations and one for
-evaluations with tangents, each rebuilt only when the row count changes.
-Fresh buffers above glibc's mmap threshold were mapped, page-faulted and
-unmapped on every RK4 stage.
+Every layer-sized intermediate is written with out= into buffers the field
+owns (see MlpVectorField); fresh buffers above glibc's mmap threshold were
+mapped, page-faulted and unmapped on every RK4 stage.
 
 Also houses the exact B-spline / product-network constructions and the
 closed-form capacity and Lipschitz constant calculators.
@@ -130,12 +128,11 @@ class MlpVectorField:
     Evaluation is pure given a parameter snapshot; `clone` returns an
     independent copy whose parameters and buffers are apart from this one's.
 
-    Evaluations write their intermediates into buffers the field keeps
-    (one set per tangent flag, rebuilt when the row count changes).  Every
-    array a public method returns is fresh, but the cache of
-    `forward_with_cache` aliases the buffers: it is valid until this
-    field's next evaluation (a `vjp` of the cache does not end it).  So
-    one field must not be evaluated from two threads at once.
+    Evaluations write into buffers the field keeps, one set per tangent
+    flag, rebuilt when the row count changes.  Returned arrays are fresh,
+    but a `forward_with_cache` cache aliases the buffers until this field's
+    next evaluation (its `vjp` is not one), so no two threads may evaluate
+    one field at once.
     """
 
     def __init__(self, arch, theta=None, mask_enabled=True, rng=None):
@@ -184,12 +181,10 @@ class MlpVectorField:
     # -- scratch buffers ---------------------------------------------------
 
     def _buffers(self, rows, tangents):
-        """The buffer set for `rows` rows: input rows, pre-activations,
-        activations, sigma', the reverse-mode temporaries and, when
-        `tangents`, the d stacked tangents.  The set of each tangent flag is
-        kept and rebuilt only when the row count changes.  A vjp writes only
-        buffers its cache does not read.
-        """
+        """The kept buffer set of this tangent flag, rebuilt unless it has
+        `rows` rows: input rows, pre-activations, activations, sigma', the
+        reverse-mode temporaries and, with tangents, the d stacked tangents.
+        A vjp writes only buffers its cache does not read."""
         ws = self._scratch[tangents]
         if ws is not None and len(ws["u"]) == rows:
             return ws
@@ -290,8 +285,7 @@ class MlpVectorField:
         return float(div[0]) if single else div
 
     def forward_with_cache(self, x, t, need_tangents=False):
-        """(v, cache): v and cache["div"] are fresh arrays; the rest of the
-        cache aliases the field's buffers until its next evaluation."""
+        """(v, cache); v and cache["div"] are fresh, the rest aliases the buffers."""
         return self._forward_cached(x, t, need_tangents)
 
     # -- reverse mode ------------------------------------------------------

@@ -294,8 +294,7 @@ class SparseGrid:
 
 
 def _compositions(total, parts):
-    """All tuples of `parts` positive integers summing to `total`, in
-    lexicographic order: the gaps between cut points 0 < c_1 < ... < total."""
+    """Tuples of `parts` positive integers summing to `total`, in lexicographic order."""
     for cuts in itertools.combinations(range(1, total), parts - 1):
         ends = (0,) + cuts + (total,)
         yield tuple(b - a for a, b in zip(ends, ends[1:]))
@@ -342,19 +341,16 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
         coeff = (-1) ** (q - total) * math.comb(dim - 1, q - total)
         for entries in _compositions(total, dim):
             terms.append((MultiIndex(entries), coeff))
-            # tensor rows, last axis fastest; kept 2-D, since an array may
-            # have at most 64 axes
+            # tensor rows, last axis fastest, built 2-D (an array has at most 64 axes)
             sizes = [growth(k) for k in entries]
             term = np.empty((math.prod(sizes), dim), dtype=np.int64)
-            outer = 1
             for i, k in enumerate(entries):
-                term.reshape(outer, sizes[i], -1, dim)[..., i] = positions[k - 1][:, None]
-                outer *= sizes[i]
+                axis = term.reshape(math.prod(sizes[:i]), sizes[i], -1, dim)[..., i]
+                axis[...] = positions[k - 1][:, None]
             rows.append(term)
             # products in axis order from the coefficient, last axis fastest
-            w_axes = (rules[i][k - 1].weights for i, k in enumerate(entries))
-            parts.append(functools.reduce(lambda p, w: np.multiply.outer(p, w).ravel(),
-                                          w_axes, float(coeff)))
+            w_axes = [float(coeff)] + [rules[i][k - 1].weights for i, k in enumerate(entries)]
+            parts.append(functools.reduce(lambda p, w: np.outer(p, w).ravel(), w_axes))
 
     rows = np.concatenate(rows)
     # one opaque key per index row, so equal rows compare equal
