@@ -65,11 +65,10 @@ def monotone_inverse(f, fprime, y, tol=1e-12, max_iter=100):
         if not open_.any():
             break
         xl, fx = x[live], fx[open_]
-        lo[live] = np.where(fx <= 0, xl, lo[live])
-        hi[live] = np.where(fx > 0, xl, hi[live])
+        lo[live] = low = np.where(fx <= 0, xl, lo[live])
+        hi[live] = high = np.where(fx > 0, xl, hi[live])
         x_new = xl - fx / np.maximum(fprime(xl), 1e-14)
-        outside = (x_new <= lo[live]) | (x_new >= hi[live])
-        x[live] = np.where(outside, 0.5 * (lo[live] + hi[live]), x_new)
+        x[live] = np.where((x_new <= low) | (x_new >= high), 0.5 * (low + high), x_new)
     return x
 
 

@@ -116,8 +116,8 @@ def test_cli_grid_exit_codes(tmp_path):
 
 
 def test_grid_at_dim_1500_level_0_is_the_center(tmp_path, capsys):
-    # the Smolyak combinations were generated by recursion one level per
-    # axis, and a tensor term was an array with one axis per dimension
+    # one composition of 1,500 parts: deeper than Python's recursion limit,
+    # and more axes than a numpy array may have
     spec_file = write_spec(tmp_path, spec_payload(dim=1500, grid={"levels": [0]}, training={}))
     assert cli.main(["grid", "--spec", spec_file, "--out", str(tmp_path / "g")]) == 0
     assert "Traceback" not in capsys.readouterr().err
@@ -221,7 +221,7 @@ def test_grid_run_report_import_neither_scipy_nor_mpmath(tmp_path):
 
 
 def test_run_rejects_a_huge_dim_before_building_densities(tmp_path):
-    # a product density's bounds take O(dim^2): dim 30,000 ran for minutes
+    # building a product density takes O(dim^2), so dim is checked first
     spec_file = write_spec(tmp_path, spec_payload(dim=10**6, training={}))
     done = _python(["-m", "flowquad.cli", "run", "--spec", spec_file, "--out", "o"],
                    tmp_path, timeout=20)
