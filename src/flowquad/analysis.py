@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedDimensionError
 from .flow import flow_forward, log_pushforward_density
-from .quadrature import REFERENCE_POINTS, kahan_sum, lattice, tensor_gauss
+from .quadrature import REFERENCE_POINTS, kahan_sum, tensor_gauss
 
-QOI_PROBE_POINTS = 33  # lattice points per axis of the QoI bound probe
 CHECK_SLACK = 5e-3  # absolute slack of the Pinsker and decomposition checks
 DENSE_MAX_DIM = 3  # largest dim of the dense reference and oracle grids
 
@@ -29,17 +28,6 @@ class QoI:
     evaluate: callable
     sup_norm: float
     name: str = "qoi"
-
-
-def check_qoi_bound(qoi, dim):
-    """Probe |qoi| <= sup_norm on a tensor lattice."""
-    pts = lattice(np.linspace(0, 1, QOI_PROBE_POINTS), dim)
-    worst = float(np.max(np.abs(qoi.evaluate(pts))))
-    if worst > qoi.sup_norm + 1e-9:
-        raise InvalidArgumentError(
-            f"qoi '{qoi.name}' reaches {worst}, above declared sup {qoi.sup_norm}"
-        )
-    return worst
 
 
 def make_qoi(family, dim, params=None):
@@ -120,13 +108,6 @@ def integrate_via_flow(grid, fm, qoi, threads=1):
 
 def total_error(reference, estimate):
     return abs(reference - estimate)
-
-
-def quadrature_error_measured(grid, fm, qoi, source, oracle=None):
-    """|dense-grid pullback integral - sparse-grid estimate|."""
-    if oracle is None:
-        oracle = pullback_integral_oracle(fm, qoi, source)
-    return abs(oracle - integrate_via_flow(grid, fm, qoi))
 
 
 def _grid_densities(target, fm, source, points_per_axis):

@@ -191,10 +191,6 @@ def parse_spec(payload):
     )
 
 
-def serialize_spec(spec):
-    return json.dumps(dataclasses.asdict(spec), sort_keys=True, indent=2)
-
-
 def load_spec(path):
     try:
         with open(path) as fh:

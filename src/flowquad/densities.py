@@ -1,8 +1,8 @@
 """Analytic density families on [0,1]^d.
 
 Built-in univariate families (uniform, linear tilt, cosine bump) carry
-closed-form CDFs and bounds so transport oracles and tests have exact
-references.  Every multivariate density is a product of such factors.
+closed-form CDFs so transport oracles and tests have exact references.
+Every multivariate density is a product of such factors.
 monotone_inverse is the one guarded Newton solver for increasing maps on
 [0,1]: factor quantiles without a closed form use it, and so does the
 interpolation inverse in transport.
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .quadrature import REFERENCE_POINTS, lattice, tensor_gauss
-
-BOUND_PROBE_POINTS = 65  # lattice points per axis of check_bounds_on_lattice
-BOUND_SLACK = 1e-9  # absolute slack of check_bounds_on_lattice
 
 
 @dataclass(frozen=True)
@@ -28,9 +24,6 @@ class Density1D:
     params: dict
     pdf: callable
     cdf: callable
-    lower: float
-    upper: float
-    lipschitz: float
     cdf_inverse: callable = None  # analytic inverse where the family has one
     grad_log: callable = None
 
@@ -79,9 +72,6 @@ def uniform1d():
         params={},
         pdf=one,
         cdf=lambda x: np.asarray(x, dtype=float),
-        lower=1.0,
-        upper=1.0,
-        lipschitz=0.0,
         cdf_inverse=lambda u: np.asarray(u, dtype=float),
         grad_log=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
@@ -129,9 +119,6 @@ def linear_tilt(a, b):
         params=params,
         pdf=pdf,
         cdf=cdf,
-        lower=min(a, a + b),
-        upper=max(a, a + b),
-        lipschitz=abs(b),
         cdf_inverse=inverse,
         grad_log=grad_log,
     )
@@ -181,9 +168,6 @@ def cosine_bump(amp, freq=1, phase=0.0):
         params={"amp": amp, "freq": freq, "phase": phase},
         pdf=pdf,
         cdf=cdf,
-        lower=(1.0 - abs(amp)) / z,
-        upper=(1.0 + abs(amp)) / z,
-        lipschitz=abs(amp) * w / z,
         grad_log=grad_log,
     )
 
@@ -213,11 +197,8 @@ class Density:
 
     dim: int
     evaluate: callable
-    lower: float
-    upper: float
     factors: tuple
     name: str
-    lipschitz: float
 
     def grad_log_pdf(self, x):
         """Gradient of the log density, factor by factor."""
@@ -241,50 +222,14 @@ def product_density(factors, name=None):
             vals *= f.pdf(x[:, i])
         return vals
 
-    lower = math.prod(f.lower for f in factors)
-    upper = math.prod(f.upper for f in factors)
-    # grad bound of a product: per-axis tilt times the other factors' sup;
-    # hypot overflows only where the bound itself does
-    lipschitz = math.hypot(*(
-        f.lipschitz * math.prod(g.upper for j, g in enumerate(factors) if j != i)
-        for i, f in enumerate(factors)
-    ))
     return Density(
         dim=dim,
         evaluate=evaluate,
-        lower=lower,
-        upper=upper,
         factors=factors,
         name=name or "x".join(f.name for f in factors),
-        lipschitz=lipschitz,
     )
 
 
 def uniform_density(dim):
     return product_density([uniform1d() for _ in range(dim)], name="uniform")
 
-
-def check_bounds_on_lattice(density):
-    """Probe kappa <= f <= K on a tensor lattice (falls back to Monte Carlo
-    for dim > 2).  Returns (min, max) of the probed values."""
-    if density.dim <= 2:
-        pts = lattice(np.linspace(0, 1, BOUND_PROBE_POINTS), density.dim)
-    else:
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(size=(100_000, density.dim))
-    vals = density.evaluate(pts)
-    vmin, vmax = float(vals.min()), float(vals.max())
-    if vmin < density.lower - BOUND_SLACK or vmax > density.upper + BOUND_SLACK:
-        raise InvalidArgumentError(
-            f"density values [{vmin}, {vmax}] escape the declared bounds "
-            f"[{density.lower}, {density.upper}]"
-        )
-    return vmin, vmax
-
-
-def total_mass(density):
-    """Reference unit-mass check by tensor Gauss-Legendre (dim <= 3)."""
-    if density.dim > 3:
-        raise InvalidArgumentError("dense mass check is limited to dim <= 3")
-    pts, wt = tensor_gauss(density.dim, REFERENCE_POINTS)
-    return float(np.dot(wt, density.evaluate(pts)))

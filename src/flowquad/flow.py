@@ -275,9 +275,3 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     logp = log_source - acc
 
     return (float(logp[0]) if single else logp), grad
-
-
-def log_density_gradient(fm, source, y):
-    """Parameter gradient of the pushforward log-density at one point."""
-    _, grad = log_density_with_gradient(fm, source, np.atleast_2d(y))
-    return grad

@@ -367,13 +367,6 @@ class MlpVectorField:
         return gtheta, gx
 
 
-def backward(net, x, t, output_cotangent):
-    """Reverse-mode gradients of cotangent . v(x, t) w.r.t. theta and x."""
-    _, cache = net.forward_with_cache(x, t)
-    lam = np.atleast_2d(np.asarray(output_cotangent, dtype=float))
-    return net.vjp(cache, lam_v=lam)
-
-
 # ---------------------------------------------------------------------------
 # B-splines and product networks
 # ---------------------------------------------------------------------------
@@ -400,21 +393,6 @@ def bspline_recursive(s, j, x):
     left = (x - j) / s * bspline_recursive(s - 1, j, x)
     right = (j + s + 1 - x) / s * bspline_recursive(s - 1, j + 1, x)
     return left + right
-
-
-@dataclass(frozen=True)
-class BSpline:
-    """Degree-s normalized B-spline with support [shift, shift + s + 1]."""
-
-    degree: int
-    shift: int = 0
-
-    def __call__(self, x):
-        return bspline_eval(self.degree, self.shift, x)
-
-    @property
-    def support(self):
-        return (self.shift, self.shift + self.degree + 1)
 
 
 class ProductGadgetNetwork:
@@ -458,17 +436,6 @@ def product_gadget(s, xs):
         raise InvalidArgumentError(f"gadget of power {s} takes at most {s} inputs")
     xs = xs + [1.0] * (s - len(xs))
     return ProductGadgetNetwork(s)(np.array(xs))
-
-
-def tensor_bspline_network(s, shifts, x):
-    """Tensor-product B-spline evaluated purely through network pieces.
-
-    Each univariate factor is the signed ReLU^s sum; the factors are then
-    multiplied by the product gadget (padded with ones when there are
-    fewer than s of them).
-    """
-    vals = [float(bspline_eval(s, j, xi)) for j, xi in zip(shifts, x)]
-    return product_gadget(s, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -530,26 +497,6 @@ def capacity_constants(hidden_depth, width, dim, c_d=1.0, c_dkl=1.0):
             log_d_bound=log_env,
             degenerate=degenerate,
         )
-
-
-def requ_architecture(k, d, p, resolution, holder_norm):
-    """Width/depth/weight-count recipe guaranteeing simultaneous C^l
-    approximation of C^{k,alpha} targets at the given spline resolution."""
-    if k < 2 or d < 1 or p < 1 or resolution < 2:
-        raise InvalidArgumentError("need k >= 2, d >= 1, p >= 1, resolution >= 2")
-    K = resolution
-    width = max(4 * d * (K + k) ** d, 12 * ((K + 2 * k) + 1), p)
-    loglog = math.log2(math.log2(holder_norm)) if holder_norm > 2.0 else 0.0
-    inner = max(math.ceil(math.log2(2 * d * k + d)), loglog, 1.0)
-    layers = 6 + 2 * (k - 2) + math.ceil(math.log2(d)) + 2 * inner
-    c_count = (60 * max(math.ceil(max(math.log2(2 * d * k + d), loglog)), 1) + 38) \
-        + 20 * d**2 + 144 * d * k + 8 * d
-    return {
-        "width": width,
-        "hidden_layers": layers,
-        "weight_count_factor": c_count,
-        "nonzero_weight_bound": p * (K + k) ** d * c_count,
-    }
 
 
 # ---------------------------------------------------------------------------

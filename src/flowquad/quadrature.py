@@ -419,17 +419,27 @@ def read_grid(path):
     """Read a grid file written by write_grid.
 
     Combination terms are not stored in the file; the returned grid carries
-    an empty combination_terms tuple.
+    an empty combination_terms tuple.  A malformed file raises
+    InvalidArgumentError naming the file.
     """
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise InvalidArgumentError(f"malformed grid header in {path}")
-        dim, level, count = (int(v) for v in header)
-        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
-    if len(rows) != count:
-        raise InvalidArgumentError(f"grid file {path} promises {count} nodes, has {len(rows)}")
-    data = np.array(rows).reshape(count, dim + 1)
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 3:
+                raise ValueError("the header is not 'dim level count'")
+            dim, level, count = (int(v) for v in header)
+            if dim < 1:
+                raise ValueError(f"dim {dim} is below 1")
+            rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
+        if len(rows) != count:
+            raise ValueError(f"it promises {count} nodes, has {len(rows)}")
+        if any(len(row) != dim + 1 for row in rows):
+            raise ValueError(f"a row does not have dim + 1 = {dim + 1} columns")
+        data = np.array(rows).reshape(count, dim + 1)
+        if not np.all(np.isfinite(data)):
+            raise ValueError("non-finite node or weight")
+    except ValueError as exc:  # also a bad number or encoding
+        raise InvalidArgumentError(f"malformed grid file {path}: {exc}") from None
     return SparseGrid(
         dim=dim,
         level=level,

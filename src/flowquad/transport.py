@@ -5,11 +5,11 @@ x_k through the source factor's CDF and back through the target factor's
 quantile.  Those are the factors' own closed forms (or their guarded
 Newton inverse), so no table is built.
 
-Also provides the straight-line interpolation between the identity and
-the transport, its inverse, and the induced time-dependent vector field
-driving points along that interpolation.  These are diagonal too: the
-inverse solves each axis for a whole (n, d) batch with monotone_inverse,
-and axis k of the field reads y_k alone.
+Also provides the inverse of the straight-line interpolation
+s*T(x) + (1-s)*x between the identity and the transport, and the induced
+time-dependent vector field driving points along that interpolation.
+These are diagonal too: the inverse solves each axis for a whole (n, d)
+batch with monotone_inverse, and axis k of the field reads y_k alone.
 """
 
 
@@ -17,10 +17,8 @@ import numpy as np
 
 from .densities import monotone_inverse
 from .errors import InvalidArgumentError
-from .quadrature import lattice
 
 FIELD_FD_STEP = 1e-6  # central-difference step of TransportField.divergence
-RATIO_FD_STEP = 1e-5  # central-difference step of mask_ratio_norms
 
 
 class KrTransport:
@@ -49,15 +47,6 @@ class KrTransport:
         for k in range(self.dim):
             out[:, k] = self._axis(k, xs[:, k])
         return out
-
-    def displacement(self, x, s):
-        """Straight-line interpolation s*T(x) + (1-s)*x."""
-        if not 0.0 <= s <= 1.0:
-            raise InvalidArgumentError(f"interpolation time {s} outside [0, 1]")
-        x = np.asarray(x, dtype=float)
-        if s == 0.0:
-            return x.copy()
-        return s * self.kr_map_batch(x).reshape(x.shape) + (1.0 - s) * x
 
     def _displacement_inverse_with_map(self, y, s):
         """Rows x0 with s*T(x0) + (1-s)*x0 = y, and T(x0), for a batch y."""
@@ -114,24 +103,3 @@ class TransportField:
         um = self.transport.target_field(lo, t)
         return np.sum((up - um) / (hi - lo), axis=1)
 
-
-def mask_ratio_norms(transport, space_points=9, time_points=5):
-    """Empirical C0/C1 size of the target field divided by the boundary mask.
-
-    The theoretical bound on this quantity is not explicit, so it is probed
-    on an interior lattice by finite differences.
-    """
-    pts = lattice(np.linspace(0.1, 0.9, space_points), transport.dim)
-    m, h = len(pts), RATIO_FD_STEP
-    # axis j of the field reads p_j alone, so every cross derivative is 0
-    # and shifting all axes at once gives the diagonal ones
-    probe = np.concatenate([pts, pts + h, pts - h])
-    eta = probe * (1.0 - probe)
-    c0 = 0.0
-    c1 = 0.0
-    for t in np.linspace(0.0, 1.0, time_points):
-        ratio = transport.target_field(probe, t) / eta
-        c0 = max(c0, float(np.max(np.abs(ratio[:m]))))
-        deriv = (ratio[m : 2 * m] - ratio[2 * m :]) / (2 * h)
-        c1 = max(c1, float(np.max(np.abs(deriv))))
-    return {"c0": c0, "c1": max(c0, c1)}

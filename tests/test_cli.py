@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -50,7 +51,7 @@ def write_spec(tmp_path, payload):
 
 def test_spec_round_trip():
     spec = cli.parse_spec(spec_payload())
-    again = cli.parse_spec(cli.serialize_spec(spec))
+    again = cli.parse_spec(json.dumps(dataclasses.asdict(spec)))
     assert again == spec
 
 
@@ -115,14 +116,16 @@ def test_cli_grid_exit_codes(tmp_path):
     assert cli.main(["grid", "--spec", bad_file, "--out", str(tmp_path / "g")]) == 2
 
 
-def test_grid_at_dim_1500_level_0_is_the_center(tmp_path, capsys):
-    # one composition of 1,500 parts: deeper than Python's recursion limit,
-    # and more axes than a numpy array may have
-    spec_file = write_spec(tmp_path, spec_payload(dim=1500, grid={"levels": [0]}, training={}))
+@pytest.mark.parametrize("dim", [1500, 6000])
+def test_grid_at_large_dim_level_0_is_the_center(tmp_path, capsys, dim):
+    # one composition of `dim` parts: deeper than Python's recursion limit,
+    # and more axes than a numpy array may have; building the densities
+    # must stay linear in dim
+    spec_file = write_spec(tmp_path, spec_payload(dim=dim, grid={"levels": [0]}, training={}))
     assert cli.main(["grid", "--spec", spec_file, "--out", str(tmp_path / "g")]) == 0
     assert "Traceback" not in capsys.readouterr().err
-    grid = read_grid(str(tmp_path / "g" / "grid_d1500_l0.txt"))
-    np.testing.assert_array_equal(grid.nodes, np.full((1, 1500), 0.5))
+    grid = read_grid(str(tmp_path / "g" / f"grid_d{dim}_l0.txt"))
+    np.testing.assert_array_equal(grid.nodes, np.full((1, dim), 0.5))
     np.testing.assert_allclose(grid.weights, [1.0], rtol=1e-9)
 
 

@@ -3,6 +3,13 @@ import pytest
 
 from flowquad import densities as dn
 from flowquad.errors import InvalidArgumentError
+from flowquad.quadrature import REFERENCE_POINTS, tensor_gauss
+
+
+def total_mass(density):
+    """Tensor Gauss-Legendre integral of the density over the cube."""
+    pts, wt = tensor_gauss(density.dim, REFERENCE_POINTS)
+    return float(np.dot(wt, density.evaluate(pts)))
 
 
 @pytest.mark.parametrize(
@@ -46,15 +53,7 @@ def test_linear_tilt_closed_forms():
     f = dn.linear_tilt(0.0, 2.0)  # density 2x
     assert abs(f.cdf(0.5) - 0.25) < 1e-15
     assert abs(f.quantile(0.25) - 0.5) < 1e-12
-    assert f.lower == 0.0 and abs(f.upper - 2.0) < 1e-15
-
-
-def test_cdf_bounds_against_pdf_extrema():
-    f = dn.cosine_bump(0.5)
-    xs = np.linspace(0, 1, 2001)
-    vals = f.pdf(xs)
-    assert vals.min() >= f.lower - 1e-12
-    assert vals.max() <= f.upper + 1e-12
+    assert f.pdf(0.0) == 0.0 and abs(f.pdf(1.0) - 2.0) < 1e-15
 
 
 def test_grad_log_matches_finite_differences():
@@ -67,18 +66,14 @@ def test_grad_log_matches_finite_differences():
 
 def test_product_density_bounds_and_mass():
     dens = dn.product_density([dn.linear_tilt(0.2, 1.6), dn.cosine_bump(0.3)])
-    dn.check_bounds_on_lattice(dens)
-    assert abs(dn.total_mass(dens) - 1.0) < 1e-6
-    # the product's gradient bound is finite wherever each factor's is
-    steep = dn.product_density([dn.cosine_bump(0.999999, freq=1e300), dn.uniform1d()])
-    assert steep.lipschitz == steep.factors[0].lipschitz
+    assert abs(total_mass(dens) - 1.0) < 1e-6
 
 
 def test_uniform_density_is_one():
     dens = dn.uniform_density(3)
     pts = np.random.default_rng(0).uniform(size=(10, 3))
     np.testing.assert_allclose(dens.evaluate(pts), 1.0)
-    assert abs(dn.total_mass(dens) - 1.0) < 1e-10
+    assert abs(total_mass(dens) - 1.0) < 1e-10
 
 
 def test_invalid_families_rejected():

@@ -10,19 +10,15 @@ from flowquad import network as net_mod
 from flowquad.errors import InvalidArgumentError, NumericalOverflowError
 from flowquad.network import (
     Architecture,
-    BSpline,
     MlpVectorField,
     ProductGadgetNetwork,
-    backward,
     bspline_eval,
     bspline_recursive,
     capacity_constants,
     hypothesis_architecture,
     load_checkpoint,
     product_gadget,
-    requ_architecture,
     save_checkpoint,
-    tensor_bspline_network,
 )
 
 
@@ -120,7 +116,7 @@ def test_backward_matches_finite_differences(dim, depth, width, seed):
     rng = np.random.default_rng(seed + 100)
     x = rng.uniform(0.1, 0.9, size=(4, dim))
     lam = rng.normal(size=(4, dim))
-    g_an, _ = backward(net, x, 0.37, lam)
+    g_an, _ = net.vjp(net.forward_with_cache(x, 0.37)[1], lam_v=lam)
 
     def fun(theta):
         probe = MlpVectorField(net.arch, theta=theta)
@@ -135,7 +131,7 @@ def test_backward_input_gradient_matches_fd():
     net = small_net(2, 2, 8, 5)
     x = np.array([[0.3, 0.6]])
     lam = np.array([[1.0, -2.0]])
-    _, gx = backward(net, x, 0.5, lam)
+    _, gx = net.vjp(net.forward_with_cache(x, 0.5)[1], lam_v=lam)
     h = 1e-6
     for k in range(2):
         xp = x.copy()
@@ -151,7 +147,7 @@ def test_zero_theta_gradient_structure():
     arch = hypothesis_architecture(2, 2, 6)
     net = MlpVectorField(arch, theta=np.zeros(arch.param_count))
     x = np.array([[0.4, 0.7]])
-    g, _ = backward(net, x, 0.2, np.ones((1, 2)))
+    g, _ = net.vjp(net.forward_with_cache(x, 0.2)[1], lam_v=np.ones((1, 2)))
     o = 0
     for li, (din, dout) in enumerate(zip(arch.widths[:-1], arch.widths[1:])):
         wslice = g[o : o + din * dout]
@@ -180,7 +176,7 @@ def test_linear_mode_matches_least_squares_gradient():
     y = rng.normal(size=(6, 1))
     resid = (u @ w0.T + b0) @ w1.T + b1 - y
 
-    g, _ = backward(net, x, 0.5, resid)  # gradient of 0.5 * sum resid^2
+    g, _ = net.vjp(net.forward_with_cache(x, 0.5)[1], lam_v=resid)  # of 0.5 * sum resid^2
     grad_w0 = w1.T @ resid.T @ u
     grad_b0 = (resid @ w1).sum(axis=0)
     grad_w1 = resid.T @ (u @ w0.T + b0)
@@ -291,7 +287,9 @@ def test_joint_vjp_matches_fd_on_batches(dim, depth, power, mask):
                          (v, div, g_an, gx_an)):
         np.testing.assert_array_equal(got, want)
     cache_again = net.forward_with_cache(x, t)[1]
-    for got, want in zip(net.vjp(cache_again, lam_v=lam_v), backward(net.clone(), x, t, lam_v)):
+    fresh = net.clone()
+    for got, want in zip(net.vjp(cache_again, lam_v=lam_v),
+                         fresh.vjp(fresh.forward_with_cache(x, t)[1], lam_v=lam_v)):
         np.testing.assert_array_equal(got, want)
 
     def loss(probe, xs):
@@ -411,11 +409,10 @@ def test_bspline_partition_of_unity_and_support():
     for s in (1, 2, 3):
         total = sum(bspline_eval(s, j, xs) for j in range(-s, 4))
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
-        sp = BSpline(s, 0)
-        lo, hi = sp.support
-        assert sp(lo - 0.5) == 0.0 and sp(hi + 0.5) == 0.0
+        lo, hi = 0, s + 1  # the support of bspline_eval(s, 0, .)
+        assert bspline_eval(s, 0, lo - 0.5) == 0.0 and bspline_eval(s, 0, hi + 0.5) == 0.0
         inside = np.linspace(lo + 1e-3, hi - 1e-3, 50)
-        assert np.all(sp(inside) >= 0)
+        assert np.all(bspline_eval(s, 0, inside) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +443,6 @@ def test_gadget_architecture_and_box():
     assert g.arch.widths == (3, 16, 1)
     assert np.max(np.abs(g.w_hidden)) <= 1.0
     assert np.max(np.abs(g.w_out)) <= 1.0
-
-
-def test_tensor_bspline_network_fidelity():
-    rng = np.random.default_rng(31)
-    s = 2
-    for _ in range(50):
-        x = rng.uniform(-0.5, 4.0, size=2)
-        shifts = rng.integers(-1, 2, size=2)
-        via_net = tensor_bspline_network(s, shifts, x)
-        reference = bspline_recursive(s, shifts[0], x[0]) * bspline_recursive(s, shifts[1], x[1])
-        assert abs(via_net - reference) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +498,6 @@ def test_envelope_bound_is_exp_tower():
     got = capacity_constants(2, 4, 2, c_d=1.0, c_dkl=1.0)
     # log bound = (1*4)^(2^7) = 4^128
     assert abs(float(mp.log(got.log_lbar_bound) - 128 * mp.log(4))) < 1e-9
-
-
-def test_requ_architecture_recipe():
-    rec = requ_architecture(k=3, d=2, p=2, resolution=4, holder_norm=5.0)
-    assert rec["width"] == max(4 * 2 * 7**2, 12 * 11, 2)
-    assert rec["hidden_layers"] >= 8
-    assert rec["nonzero_weight_bound"] > 0
-    finer = requ_architecture(k=3, d=2, p=2, resolution=8, holder_norm=5.0)
-    assert finer["width"] > rec["width"]
 
 
 # ---------------------------------------------------------------------------

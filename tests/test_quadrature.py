@@ -477,3 +477,27 @@ def test_grid_file_roundtrip(tmp_path):
     assert back.dim == grid.dim and back.level == grid.level
     np.testing.assert_array_equal(back.nodes, grid.nodes)
     np.testing.assert_array_equal(back.weights, grid.weights)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("1 0\n", id="short-header"),
+        pytest.param("1 0 x\n", id="count-not-a-number"),
+        pytest.param("0 0 1\n0.5\n", id="dim-zero"),
+        pytest.param("1 0 2\n0.5 1.0\n", id="too-few-rows"),
+        pytest.param("2 0 1\n0.5 1.0\n", id="row-too-short"),
+        pytest.param("1 0 1\n0.5 1.0 0.0\n", id="row-too-long"),
+        pytest.param("1 0 1\n0.5 abc\n", id="value-not-a-number"),
+        pytest.param("1 0 1\n0.5 nan\n", id="value-nan"),
+        pytest.param(b"1 0 1\n\xff\n", id="not-utf8"),
+    ],
+)
+def test_malformed_grid_file_names_the_file(tmp_path, text):
+    path = tmp_path / "grid.txt"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(InvalidArgumentError, match="grid.txt"):
+        quad.read_grid(path)
