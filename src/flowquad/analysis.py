@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .densities import product_values
 from .errors import InvalidArgumentError, UnsupportedDimensionError
 from .flow import flow_forward, log_pushforward_density
 from .quadrature import REFERENCE_POINTS, kahan_sum, tensor_gauss
@@ -23,11 +24,24 @@ DENSE_MAX_DIM = 3  # largest dim of the dense reference and oracle grids
 
 @dataclass(frozen=True)
 class QoI:
-    """Quantity of interest with its declared sup norm."""
+    """Product quantity of interest prod_i factors[i](x_i) with its sup norm."""
 
-    evaluate: callable
+    factors: tuple
     sup_norm: float
     name: str = "qoi"
+
+    def evaluate(self, x):
+        return product_values(self.factors, x)
+
+
+# (1-D factor on [0, 1], its sup norm) that each family uses on every axis;
+# `coordinate` puts the `product` factor on its axis, the `constant` one elsewhere
+QOI_FACTORS_1D = {
+    "product": (lambda t: t, 1.0),
+    "cos_product": (np.cos, 1.0),
+    "abs_product": (lambda t: np.abs(t - 0.5), 0.5),
+    "constant": (np.ones_like, 1.0),
+}
 
 
 def make_qoi(family, dim, params=None):
@@ -40,22 +54,13 @@ def make_qoi(family, dim, params=None):
             raise InvalidArgumentError(f"coordinate axis must be an integer in 0..{dim - 1}, "
                                        f"got {axis}")
         axis = int(axis)
-        return QoI(lambda x: x[:, axis], sup_norm=1.0, name=f"coordinate[{axis}]")
-    if family == "product":
-        return QoI(lambda x: np.prod(x, axis=1), sup_norm=1.0, name="product")
-    if family == "cos_product":
-        return QoI(
-            lambda x: np.prod(np.cos(x), axis=1), sup_norm=1.0, name="cos_product"
-        )
-    if family == "abs_product":
-        return QoI(
-            lambda x: np.prod(np.abs(x - 0.5), axis=1),
-            sup_norm=0.5**dim,
-            name="abs_product",
-        )
-    if family == "constant":
-        return QoI(lambda x: np.ones(len(x)), sup_norm=1.0, name="constant")
-    raise InvalidArgumentError(f"unknown qoi family '{family}'")
+        factors, name = [QOI_FACTORS_1D["constant"]] * dim, f"coordinate[{axis}]"
+        factors[axis] = QOI_FACTORS_1D["product"]
+    elif family in QOI_FACTORS_1D:
+        factors, name = [QOI_FACTORS_1D[family]] * dim, family
+    else:
+        raise InvalidArgumentError(f"unknown qoi family '{family}'")
+    return QoI(tuple(f for f, _ in factors), math.prod(sup for _, sup in factors), name)
 
 
 # ---------------------------------------------------------------------------

@@ -211,20 +211,21 @@ class Density:
         return out
 
 
+def product_values(fns, x):
+    """prod_i fns[i](x[:, i]) over the rows of x, multiplied in axis order."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    vals = np.ones(len(x))
+    for i, f in enumerate(fns):
+        vals *= f(x[:, i])
+    return vals
+
+
 def product_density(factors, name=None):
     factors = tuple(factors)
-    dim = len(factors)
-
-    def evaluate(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        vals = np.ones(len(x))
-        for i, f in enumerate(factors):
-            vals *= f.pdf(x[:, i])
-        return vals
-
+    pdfs = tuple(f.pdf for f in factors)
     return Density(
-        dim=dim,
-        evaluate=evaluate,
+        dim=len(factors),
+        evaluate=lambda x: product_values(pdfs, x),
         factors=factors,
         name=name or "x".join(f.name for f in factors),
     )

@@ -14,8 +14,8 @@ lies on one dyadic lattice cos(pi j / N), so each tensor point is a row
 of integer lattice indices and coincident nodes are merged by exact
 integer comparison, never by comparing floats.
 
-The dense tensor lattice and tensor Gauss-Legendre rule here also serve
-the reference oracles and the bound probes of the other modules.
+Every tensor product here (tensor rules, Smolyak terms and the tensor
+Gauss-Legendre rule of the dense oracles) is built by tensor_product.
 """
 
 import functools
@@ -207,22 +207,28 @@ def cc_rule(m, domain=(0.0, 1.0), weight=None):
                   domain=tuple(domain), point_count=m)
 
 
-def lattice(axis, dim):
-    """Tensor lattice axis^dim as an (len(axis)**dim, dim) array, last
-    coordinate fastest."""
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+def tensor_product(node_axes, weight_axes):
+    """Cartesian product of per-axis node arrays, last axis fastest, and the
+    products of per-axis weight arrays folded in axis order: (rows (M, d),
+    weights (M,)).
+
+    Rows are filled into one 2-D array, so any number of axes works (an
+    n-D numpy array has at most 64 axes).  A leading 1-element weight axis
+    scales every product first.
+    """
+    sizes = [len(axis) for axis in node_axes]
+    dim = len(sizes)
+    rows = np.empty((math.prod(sizes), dim), dtype=np.result_type(*node_axes))
+    for i, axis in enumerate(node_axes):
+        rows.reshape(math.prod(sizes[:i]), sizes[i], -1, dim)[..., i] = axis[:, None]
+    weights = functools.reduce(lambda p, w: np.outer(p, w).ravel(), weight_axes)
+    return rows, weights
 
 
 def tensor_gauss(dim, points_per_axis):
     """Tensor Gauss-Legendre rule on [0, 1]^dim: (points, weights)."""
     gx, gw = np.polynomial.legendre.leggauss(points_per_axis)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-    wt = gw
-    for _ in range(dim - 1):
-        wt = np.multiply.outer(wt, gw)
-    return lattice(gx, dim), wt.ravel()
+    return tensor_product([0.5 * (gx + 1.0)] * dim, [0.5 * gw] * dim)
 
 
 @dataclass(frozen=True)
@@ -260,14 +266,7 @@ def tensor_rule(index, per_dim_rules):
             raise InvalidArgumentError(
                 f"rule {i} has {rule.point_count} points, expected growth({k}) = {growth(k)}"
             )
-    node_axes = [r.nodes for r in per_dim_rules]
-    weight_axes = [r.weights for r in per_dim_rules]
-    grids = np.meshgrid(*node_axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    w = weight_axes[0]
-    for axis in weight_axes[1:]:
-        w = np.multiply.outer(w, axis)
-    return nodes, w.ravel()
+    return tensor_product([r.nodes for r in per_dim_rules], [r.weights for r in per_dim_rules])
 
 
 @dataclass(frozen=True)
@@ -341,16 +340,12 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
         coeff = (-1) ** (q - total) * math.comb(dim - 1, q - total)
         for entries in _compositions(total, dim):
             terms.append((MultiIndex(entries), coeff))
-            # tensor rows, last axis fastest, built 2-D (an array has at most 64 axes)
-            sizes = [growth(k) for k in entries]
-            term = np.empty((math.prod(sizes), dim), dtype=np.int64)
-            for i, k in enumerate(entries):
-                axis = term.reshape(math.prod(sizes[:i]), sizes[i], -1, dim)[..., i]
-                axis[...] = positions[k - 1][:, None]
+            # the coefficient leads, so every product rounds from it in axis order
+            term, w = tensor_product([positions[k - 1] for k in entries],
+                                     [np.array([float(coeff)])]
+                                     + [rules[i][k - 1].weights for i, k in enumerate(entries)])
             rows.append(term)
-            # products in axis order from the coefficient, last axis fastest
-            w_axes = [float(coeff)] + [rules[i][k - 1].weights for i, k in enumerate(entries)]
-            parts.append(functools.reduce(lambda p, w: np.outer(p, w).ravel(), w_axes))
+            parts.append(w)
 
     rows = np.concatenate(rows)
     # one opaque key per index row, so equal rows compare equal

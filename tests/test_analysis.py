@@ -43,9 +43,30 @@ def test_qoi_families():
     assert q.evaluate(np.array([[0.2, 0.7]]))[0] == 0.7
     q = an.make_qoi("product", 2)
     assert q.evaluate(np.array([[0.5, 0.4]]))[0] == 0.2
-    assert np.max(np.abs(q.evaluate(quad.lattice(np.linspace(0, 1, 33), 2)))) <= q.sup_norm
+    probe, _ = quad.tensor_product([np.linspace(0, 1, 33)] * 2, [np.ones(33)] * 2)
+    assert np.max(np.abs(q.evaluate(probe))) <= q.sup_norm
     with pytest.raises(InvalidArgumentError):
         an.make_qoi("nope", 2)
+
+
+# each family's row-wise formula before QoIs were built from per-axis factors
+ROW_FORMULAS = {
+    "product": lambda x: np.prod(x, axis=1),
+    "cos_product": lambda x: np.prod(np.cos(x), axis=1),
+    "abs_product": lambda x: np.prod(np.abs(x - 0.5), axis=1),
+    "constant": lambda x: np.ones(len(x)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6])
+def test_factor_qois_equal_row_formulas(dim):
+    x = np.random.default_rng(dim).uniform(size=(9000, dim))
+    for family, formula in ROW_FORMULAS.items():
+        np.testing.assert_array_equal(an.make_qoi(family, dim).evaluate(x), formula(x))
+    for axis in range(dim):
+        q = an.make_qoi("coordinate", dim, {"axis": axis})
+        np.testing.assert_array_equal(q.evaluate(x), x[:, axis])
+    assert an.make_qoi("abs_product", dim).sup_norm == 0.5**dim
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +203,7 @@ def test_total_error():
 
 def test_quadrature_error_exact_for_low_degree_polynomials():
     grid = quad.smolyak(1, 2)  # 5 nodes, exact below degree 5
-    q = an.QoI(lambda x: x[:, 0] ** 3, sup_norm=1.0, name="cubic")
+    q = an.QoI((lambda t: t**3,), sup_norm=1.0, name="cubic")
     fm = zero_flow(1)
     oracle = an.pullback_integral_oracle(fm, q, dn.uniform_density(1))
     err = abs(oracle - an.integrate_via_flow(grid, fm, q))
@@ -192,7 +213,7 @@ def test_quadrature_error_exact_for_low_degree_polynomials():
 def test_exactness_transfer_identity_flow():
     # identity transport + polynomial qoi: the total error collapses to zero
     grid = quad.smolyak(1, 2)
-    q = an.QoI(lambda x: x[:, 0] ** 3, sup_norm=1.0, name="cubic")
+    q = an.QoI((lambda t: t**3,), sup_norm=1.0, name="cubic")
     estimate = an.integrate_via_flow(grid, zero_flow(1), q)
     reference = an.reference_expectation(dn.uniform_density(1), q)
     assert an.total_error(reference, estimate) < 1e-10
@@ -215,7 +236,7 @@ def test_rough_qoi_decays_slower_than_smooth():
     src = dn.uniform_density(1)
     fm = zero_flow(1)
     smooth = an.make_qoi("cos_product", 1)
-    rough = an.QoI(lambda x: np.abs(x[:, 0] - 0.4), sup_norm=0.6, name="kink")
+    rough = an.QoI((lambda t: np.abs(t - 0.4),), sup_norm=0.6, name="kink")
 
     def err_at(qoi, level):
         grid = quad.smolyak(1, level)

@@ -141,6 +141,35 @@ def test_tensor_rule_2x2_mass():
     assert abs(w.sum() - 1.0) < 1e-12
 
 
+def test_tensor_product_equals_meshgrid_and_outer_products():
+    rng = np.random.default_rng(3)
+    node_axes = [rng.uniform(size=n) for n in (3, 1, 4)]
+    weight_axes = [rng.uniform(size=n) for n in (3, 1, 4)]
+    rows, w = quad.tensor_product(node_axes, weight_axes)
+    mesh = np.meshgrid(*node_axes, indexing="ij")
+    np.testing.assert_array_equal(rows, np.stack([g.ravel() for g in mesh], axis=-1))
+    outer = np.multiply.outer(np.multiply.outer(*weight_axes[:2]), weight_axes[2])
+    np.testing.assert_array_equal(w, outer.ravel())
+
+
+def test_tensor_rules_past_64_axes():
+    # an n-D numpy array has at most 64 axes; rows are filled as one 2-D array
+    nodes, w = quad.tensor_gauss(70, 1)
+    np.testing.assert_array_equal(nodes, np.full((1, 70), 0.5))
+    np.testing.assert_array_equal(w, [1.0])
+    entries = (1,) * 30 + (2,) + (1,) * 39
+    nodes, w = quad.tensor_rule(entries, _rules_for(entries))
+    expected = np.full((3, 70), 0.5)
+    expected[:, 30] = [0.0, 0.5, 1.0]
+    np.testing.assert_array_equal(nodes, expected)
+    assert abs(w.sum() - 1.0) < 1e-12
+    two = [np.array([0.5])] * 69 + [np.array([0.25, 0.75])]
+    rows, w = quad.tensor_product(two, [np.array([2.0])] + [np.ones(len(a)) for a in two])
+    assert rows.shape == (2, 70)
+    np.testing.assert_array_equal(rows[:, 69], [0.25, 0.75])
+    np.testing.assert_array_equal(w, [2.0, 2.0])
+
+
 def test_tensor_rule_dimension_mismatch():
     with pytest.raises(InvalidArgumentError):
         quad.tensor_rule((2, 2), _rules_for((2,)))
