@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,38 @@ def test_factor_qois_equal_row_formulas(dim):
         q = an.make_qoi("coordinate", dim, {"axis": axis})
         np.testing.assert_array_equal(q.evaluate(x), x[:, axis])
     assert an.make_qoi("abs_product", dim).sup_norm == 0.5**dim
+
+
+# ---------------------------------------------------------------------------
+# the reference value
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [4, 6, 70])
+def test_reference_matches_closed_forms_at_any_dim(dim):
+    cos_ref = an.reference_expectation(dn.uniform_density(dim), an.make_qoi("cos_product", dim))
+    assert cos_ref == pytest.approx(math.sin(1.0) ** dim, rel=1e-13)
+    tilt_ref = an.reference_expectation(tilt_target(dim), an.make_qoi("product", dim))
+    assert tilt_ref == pytest.approx((2.0 / 3.0) ** dim, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_reference_matches_dense_sum(dim):
+    factors = [dn.linear_tilt(0.0, 2.0), dn.cosine_bump(0.5), dn.linear_tilt(0.5, 1.0)]
+    target = dn.product_density(factors[:dim])
+    pts, wt = quad.tensor_gauss(dim, quad.REFERENCE_POINTS)
+    dens = target.evaluate(pts)
+    for family in QOI_FAMILIES:
+        q = an.make_qoi(family, dim)
+        terms = q.evaluate(pts) * dens
+        got = an.reference_expectation(target, q)
+        if dim == 1:
+            assert got == float(np.dot(wt, terms))
+        else:
+            # the dense dot product strays up to ~13 ulps at 129^3 terms, so
+            # compare with the same terms summed without rounding error
+            dense = math.fsum(wt * terms)
+            assert abs(got - dense) <= 4 * math.ulp(dense)
 
 
 # ---------------------------------------------------------------------------
