@@ -266,8 +266,8 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     callers that pass it keep working."""
     if threads != 1:
         raise InvalidArgumentError(f"threads must be 1, got {threads!r}")
-    if spec.dim > an.DENSE_MAX_DIM:  # before a density's O(dim^2) bounds are built
-        raise ConfigurationError(f"'dim': dense reference grid is limited to dim <= "
+    if spec.dim > an.DENSE_MAX_DIM:  # for the dense pullback oracle; before any work
+        raise ConfigurationError(f"'dim': dense oracle grid is limited to dim <= "
                                  f"{an.DENSE_MAX_DIM}", field="dim")
     source = _density_from_spec(spec.source, spec.dim)
     target = _density_from_spec(spec.target, spec.dim)

@@ -14,7 +14,7 @@ class InvalidArgumentError(FlowQuadError, ValueError):
 
 
 class InvalidWeightError(FlowQuadError, ValueError):
-    """A quadrature weight function is negative on the probe grid."""
+    """A quadrature weight function is negative or not finite on the probe grid."""
 
 
 class EvaluationError(FlowQuadError):

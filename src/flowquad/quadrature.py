@@ -113,11 +113,9 @@ def _weighted_chebyshev_moments(weight, m, domain, panels):
     wts = np.tile(half * _GAUSS_PANEL_W, panels)
 
     x_phys = _affine_to((a, b), pts)
-    dens = np.asarray(weight(x_phys), dtype=float)
-    if dens.shape != pts.shape:
-        dens = np.broadcast_to(dens, pts.shape).astype(float)
-    if np.any(dens < 0):
-        raise InvalidWeightError("weight function is negative on the probe grid")
+    dens = np.broadcast_to(np.asarray(weight(x_phys), dtype=float), pts.shape)
+    if not (np.all(np.isfinite(dens)) and np.all(dens >= 0)):
+        raise InvalidWeightError("weight function is not finite and >= 0 on the probe grid")
     # Jacobian of the affine map folds the physical density into [-1, 1].
     dens = dens * (0.5 * (b - a))
     key = (m, panels, hashlib.blake2b(dens).digest())

@@ -24,6 +24,8 @@ from .network import MlpVectorField, hypothesis_architecture
 CONFIG_BOUNDS = {"sample_size": (1, None), "batch_size": (1, None), "max_epochs": (1, None),
                  "hidden_depth": (1, None), "integrator_steps": (1, None),
                  "holdout_fraction": (0, 1)}
+LR_DECAY = 0.995  # learning rate factor per epoch
+MOMENTUM = 0.9  # velocity factor of the momentum optimizer
 
 
 @dataclass
@@ -32,8 +34,6 @@ class TrainConfig:
     batch_size: int = 256
     max_epochs: int = 60
     learning_rate: float = 0.02
-    lr_decay: float = 0.995
-    momentum: float = 0.9
     optimizer: str = "momentum"
     seed: int = 0
     hidden_depth: int = None
@@ -158,7 +158,7 @@ def train_erm(config, samples, source):
                 vhat = adam_v / (1 - 0.999**adam_t)
                 net.theta[:] -= lr * mhat / (np.sqrt(vhat) + 1e-8)
             else:
-                vel = config.momentum * vel - lr * grad
+                vel = MOMENTUM * vel - lr * grad
                 net.theta[:] += vel
             net.project_theta()
             epoch_gnorm = max(epoch_gnorm, float(np.linalg.norm(grad)))
@@ -174,7 +174,7 @@ def train_erm(config, samples, source):
             best_nll = epoch_nll
             best_theta = net.theta.copy()
             best_epoch = epoch
-        lr *= config.lr_decay
+        lr *= LR_DECAY
 
     net.set_theta(best_theta)
     hold_gap = 0.0

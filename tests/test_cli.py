@@ -224,7 +224,7 @@ def test_grid_run_report_import_neither_scipy_nor_mpmath(tmp_path):
 
 
 def test_run_rejects_a_huge_dim_before_building_densities(tmp_path):
-    # building a product density takes O(dim^2), so dim is checked first
+    # dim is checked before any density is built
     spec_file = write_spec(tmp_path, spec_payload(dim=10**6, training={}))
     done = _python(["-m", "flowquad.cli", "run", "--spec", spec_file, "--out", "o"],
                    tmp_path, timeout=20)
@@ -420,6 +420,7 @@ def _report_of(text):
         pytest.param(_run_with("training", value={"sample_size": 1, "holdout_fraction": 0.6}),
                      id="training-holdout-takes-all-1"),
         pytest.param(_run_with("training", "max_epochs", value=0), id="training-no-epochs"),
+        pytest.param(_run_with("training", "momentum", value=0.9), id="training-momentum"),
         pytest.param(_run_with("qoi", value={"family": "coordinate", "params": {"axis": 0.7}}),
                      id="qoi-axis-not-integral"),
         pytest.param(_run_with("qoi", value={"family": "product", "params": {"axis": 0}}),

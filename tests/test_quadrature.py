@@ -68,6 +68,17 @@ def test_cc_weights_negative_weight_rejected():
         quad.cc_weights(5, (0.0, 1.0), weight=lambda x: np.cos(3 * np.pi * x))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_rejected(bad):
+    def weight(x):
+        return np.where(x < 0.5, 1.0, bad)
+
+    with pytest.raises(InvalidWeightError):
+        quad.cc_weights(5, (0.0, 1.0), weight=weight)
+    with pytest.raises(InvalidWeightError):
+        quad.smolyak(2, 2, weights=weight)
+
+
 @pytest.mark.parametrize("m", [1, 3, 5, 9, 17, 33])
 def test_uniform_exactness_all_degrees(m):
     # m-point rule integrates x^p, p < m, on [0,1] exactly
