@@ -49,8 +49,7 @@ class FlowMap:
         theta = getattr(self.field, "theta", None)
         if theta is None:
             return None
-        return (self.field, self.steps, self.dim, theta.tobytes(),
-                getattr(self.field, "mask_enabled", None))
+        return (self.field, self.steps, self.dim, theta.tobytes())
 
     def images(self, x, push):
         """Time-1 images of the rows of x, an (n, dim) batch.
@@ -62,10 +61,9 @@ class FlowMap:
         differ in the last bits with the batch it was pushed in, so the
         result need not be bitwise push(x); a fixed sequence of calls is
         byte-reproducible.
-        The snapshot is the field object, steps, dim, the bytes of
-        field.theta and the field's mask flag; any change drops every
-        remembered image.  Fields without `theta` are pushed whole on
-        every call.
+        The snapshot is the field object, steps, dim and the bytes of
+        field.theta; any change drops every remembered image.  Fields
+        without `theta` are pushed whole on every call.
         """
         x, _ = _as_batch(x, self.dim)
         snapshot = self._snapshot()

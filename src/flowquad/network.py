@@ -1,8 +1,8 @@
 """Fully connected ReLU^s vector fields and their exact derivatives.
 
 The field takes (x, t) with t appended as an extra input coordinate and
-returns a d-vector, optionally multiplied componentwise by the boundary
-mask eta(x) = x*(1-x) so that flows cannot leave the unit cube.
+returns a d-vector, multiplied componentwise by the boundary mask
+eta(x) = x*(1-x) so that flows cannot leave the unit cube.
 
 Differentiation is hand-rolled over the fixed layer graph:
   * reverse mode for gradients with respect to parameters and inputs,
@@ -121,7 +121,8 @@ def _deriv_over(r, s, k):
 
 
 class MlpVectorField:
-    """ReLU^s network v(x, t) with parameters constrained to [-1, 1]^q.
+    """ReLU^s network v(x, t) = eta(x) * raw(x, t) with parameters
+    constrained to [-1, 1]^q, where raw is the network's output layer.
 
     Parameters live in one flat vector; per-layer weight matrices are
     views into it, so in-place updates of `theta` stay consistent.
@@ -135,11 +136,10 @@ class MlpVectorField:
     one field at once.
     """
 
-    def __init__(self, arch, theta=None, mask_enabled=True, rng=None):
+    def __init__(self, arch, theta=None, rng=None):
         self.arch = arch
         self.dim = arch.widths[-1]
-        self.mask_enabled = mask_enabled
-        if mask_enabled and arch.widths[0] != self.dim + 1:
+        if arch.widths[0] != self.dim + 1:
             raise InvalidArgumentError(
                 f"masked field needs input width dim+1, got {arch.widths[0]} for dim {self.dim}"
             )
@@ -176,15 +176,15 @@ class MlpVectorField:
         np.clip(self._theta, -1.0, 1.0, out=self._theta)
 
     def clone(self):
-        return MlpVectorField(self.arch, self._theta.copy(), self.mask_enabled)
+        return MlpVectorField(self.arch, self._theta.copy())
 
     # -- scratch buffers ---------------------------------------------------
 
     def _buffers(self, rows, tangents):
         """The kept buffer set of this tangent flag, rebuilt unless it has
-        `rows` rows: input rows, pre-activations, activations, sigma', the
-        reverse-mode temporaries and, with tangents, the d stacked tangents.
-        A vjp writes only buffers its cache does not read."""
+        `rows` rows: input rows, pre-activations, activations and, with
+        tangents, the d stacked tangents, sigma' and the reverse-mode
+        temporaries.  A vjp writes only buffers its cache does not read."""
         ws = self._scratch[tangents]
         if ws is not None and len(ws["u"]) == rows:
             return ws
@@ -193,13 +193,12 @@ class MlpVectorField:
         def bufs(cols, k=1):
             return [np.empty((k * rows, c)) for c in cols]
 
-        ws = {"u": np.empty((rows, d + 1)), "a": bufs(widths), "z": bufs(hidden),
-              "sp": bufs(hidden), "rz": bufs(hidden)}
+        ws = {"u": np.empty((rows, d + 1)), "a": bufs(widths), "z": bufs(hidden)}
         if tangents:
             # the input tangents are the unit rows, stacked (d*B, d+1)
             ws.update(tz0=np.repeat(np.eye(d + 1)[:d], rows, axis=0), ta=bufs(widths, d),
-                      tz=bufs(hidden, d), spp=bufs(hidden), red=bufs(hidden),
-                      rtz=bufs(hidden, d), prod=bufs(hidden, d))
+                      tz=bufs(hidden, d), sp=bufs(hidden), spp=bufs(hidden), rz=bufs(hidden),
+                      red=bufs(hidden), rtz=bufs(hidden, d), prod=bufs(hidden, d))
         self._scratch[tangents] = ws
         return ws
 
@@ -226,28 +225,29 @@ class MlpVectorField:
         if need_tangents:
             tz, ta, sps = [ws["tz0"]] + ws["tz"], ws["ta"], ws["sp"]
         z = u
-        for li, (w, b) in enumerate(self.layers):
-            with np.errstate(invalid="ignore", over="ignore"):
+        # a value that overflows shows as a non-finite pre-activation, of
+        # its own layer or the next, which raises; numpy need not warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            for li, (w, b) in enumerate(self.layers):
                 a = np.matmul(z, w.T, out=avals[li])
                 a += b
-            if not np.all(np.isfinite(a)):
-                raise NumericalOverflowError(
-                    f"non-finite activation in layer {li}", layer=li
-                )
-            if need_tangents:
-                at = np.matmul(tz[li], w.T, out=ta[li])
-            if li < len(self.layers) - 1:
-                z = np.maximum(a, 0.0, out=zs[li + 1])
+                if not np.all(np.isfinite(a)):
+                    raise NumericalOverflowError(
+                        f"non-finite activation in layer {li}", layer=li
+                    )
                 if need_tangents:
-                    np.copyto(sps[li], z)
-                    sp = _deriv_over(sps[li], s, 1)
-                    stacked = (d, batch, len(b))
-                    np.multiply(sp, at.reshape(stacked), out=tz[li + 1].reshape(stacked))
-                z = _power_over(z, s)
+                    at = np.matmul(tz[li], w.T, out=ta[li])
+                if li < len(self.layers) - 1:
+                    z = np.maximum(a, 0.0, out=zs[li + 1])
+                    if need_tangents:
+                        np.copyto(sps[li], z)
+                        sp = _deriv_over(sps[li], s, 1)
+                        stacked = (d, batch, len(b))
+                        np.multiply(sp, at.reshape(stacked), out=tz[li + 1].reshape(stacked))
+                    z = _power_over(z, s)
         raw = avals[-1]
         eta = x2 * (1.0 - x2)
         etap = 1.0 - 2.0 * x2
-        v = raw * eta if self.mask_enabled else raw.copy()
 
         cache = {
             "x": x2, "zs": zs, "avals": avals, "raw": raw,
@@ -260,9 +260,8 @@ class MlpVectorField:
             # jdiag[b, i] = d raw_i / d x_i, read from row i*B + b
             jdiag = ta[-1].reshape(d, batch, d).diagonal(axis1=0, axis2=2)
             cache["jdiag"] = jdiag
-            terms = eta * jdiag + etap * raw if self.mask_enabled else jdiag
-            cache["div"] = np.sum(terms, axis=1)
-        return v, cache
+            cache["div"] = np.sum(eta * jdiag + etap * raw, axis=1)
+        return raw * eta, cache
 
     def value_jacobian_divergence(self, x, t):
         """Field value, spatial Jacobian jac[b, i, k] = dv_i/dx_k and its
@@ -270,12 +269,9 @@ class MlpVectorField:
         v, cache = self._forward_cached(x, t, need_tangents=True)
         d, raw = self.dim, cache["raw"]
         jac = cache["ta"][-1].reshape(d, len(raw), d).transpose(1, 2, 0)
-        if self.mask_enabled:
-            jac = cache["eta"][:, :, None] * jac
-            idx = np.arange(d)
-            jac[:, idx, idx] += cache["etap"] * raw
-        else:
-            jac = jac.copy()  # not a view of the buffers
+        jac = cache["eta"][:, :, None] * jac
+        idx = np.arange(d)
+        jac[:, idx, idx] += cache["etap"] * raw
         return v, jac, cache["div"]
 
     def divergence(self, x, t):
@@ -290,80 +286,57 @@ class MlpVectorField:
 
     # -- reverse mode ------------------------------------------------------
 
-    def vjp(self, cache, lam_v=None, lam_div=None):
-        """Gradient of sum_b [lam_v . v + lam_div * div] w.r.t. (theta, x).
+    def vjp(self, cache, lam_v, lam_div):
+        """Gradient of sum_b [lam_v . v + lam_div * div] w.r.t. (theta, x),
+        through the value and tangent chains in one reverse pass.
 
-        lam_div requires the cache to have been built with tangents.
+        The cache must come from forward_with_cache(..., need_tangents=True).
         Returns fresh arrays (grad_theta flat, grad_x (B, d)).
         """
+        if "ta" not in cache:
+            raise InvalidArgumentError("vjp needs a tangent-bearing cache")
         d, s = self.dim, self.arch.activation_power
-        zs, avals = cache["zs"], cache["avals"]
+        zs, avals, tz, ta, sps = (cache[k] for k in ("zs", "avals", "tz", "ta", "sps"))
         raw, eta, etap = cache["raw"], cache["eta"], cache["etap"]
         batch = len(raw)
-        if lam_v is None:
-            lam_v = np.zeros((batch, d))
         lam_v = np.atleast_2d(lam_v)
+        lam_div = np.asarray(lam_div, dtype=float).reshape(batch, 1)
+        ws = self._buffers(batch, True)
 
-        with_div = lam_div is not None
-        if with_div:
-            lam_div = np.asarray(lam_div, dtype=float).reshape(batch, 1)
-            if "ta" not in cache:
-                raise InvalidArgumentError("divergence VJP needs a tangent-bearing cache")
-            tz, ta = cache["tz"], cache["ta"]
-        ws = self._buffers(batch, with_div)
-        sps = cache.get("sps")
-
-        if self.mask_enabled:
-            r_a = lam_v * eta
-            if with_div:
-                r_a = r_a + lam_div * etap
-        else:
-            r_a = lam_v.copy()
-        if with_div:
-            # cotangent of the stacked raw-output tangents: only the
-            # diagonal entries (row i*B + b, column i) enter the trace
-            r_t = np.zeros((d, batch, d))
-            idx = np.arange(d)
-            r_t[idx, :, idx] = (lam_div * (eta if self.mask_enabled else 1.0)).T
-            r_t = r_t.reshape(d * batch, d)
+        r_a = lam_v * eta + lam_div * etap
+        # cotangent of the stacked raw-output tangents: only the diagonal
+        # entries (row i*B + b, column i) enter the trace
+        r_t = np.zeros((d, batch, d))
+        idx = np.arange(d)
+        r_t[idx, :, idx] = (lam_div * eta).T
+        r_t = r_t.reshape(d * batch, d)
 
         gtheta = np.zeros_like(self._theta)
         o_end = len(self._theta)
         for li in range(len(self.layers) - 1, -1, -1):
             w, b = self.layers[li]
             dout, din = w.shape
-            gw = r_a.T @ zs[li]
-            gb = r_a.sum(axis=0)
-            if with_div:
-                gw += r_t.T @ tz[li]
             o_b = o_end - dout
             o_w = o_b - din * dout
-            gtheta[o_w:o_b] = gw.ravel()
-            gtheta[o_b:o_end] = gb
+            gtheta[o_w:o_b] = (r_a.T @ zs[li] + r_t.T @ tz[li]).ravel()
+            gtheta[o_b:o_end] = r_a.sum(axis=0)
             o_end = o_w
             if li == 0:
                 break
 
             k = li - 1
             r_z = np.matmul(r_a, w, out=ws["rz"][k])
-            sp = sps[k] if sps is not None else _deriv_over(
-                np.maximum(avals[k], 0.0, out=ws["sp"][k]), s, 1)
-            if with_div:
-                r_tz = np.matmul(r_t, w, out=ws["rtz"][k]).reshape(d, batch, din)
-                spp = _deriv_over(np.maximum(avals[k], 0.0, out=ws["spp"][k]), s, 2)
-                prod = np.multiply(r_tz, ta[k].reshape(d, batch, din),
-                                   out=ws["prod"][k].reshape(d, batch, din))
-                red = np.multiply(spp, np.sum(prod, axis=0, out=ws["red"][k]), out=ws["red"][k])
-            r_a = np.multiply(sp, r_z, out=r_z)
-            if with_div:
-                r_a += red
-                r_t = np.multiply(sp, r_tz, out=r_tz).reshape(d * batch, din)
+            r_tz = np.matmul(r_t, w, out=ws["rtz"][k]).reshape(d, batch, din)
+            spp = _deriv_over(np.maximum(avals[k], 0.0, out=ws["spp"][k]), s, 2)
+            prod = np.multiply(r_tz, ta[k].reshape(d, batch, din),
+                               out=ws["prod"][k].reshape(d, batch, din))
+            red = np.multiply(spp, np.sum(prod, axis=0, out=ws["red"][k]), out=ws["red"][k])
+            r_a = np.multiply(sps[k], r_z, out=r_z)
+            r_a += red
+            r_t = np.multiply(sps[k], r_tz, out=r_tz).reshape(d * batch, din)
         gx = (r_a @ w)[:, :d].copy()
-
-        if self.mask_enabled:
-            gx += lam_v * raw * etap
-            if with_div:
-                gx += lam_div * (etap * cache["jdiag"] - 2.0 * raw)
+        gx += lam_v * raw * etap
+        gx += lam_div * (etap * cache["jdiag"] - 2.0 * raw)
         return gtheta, gx
 
 
@@ -512,9 +485,7 @@ def save_checkpoint(net, path):
     with open(path, "w") as fh:
         fh.write(f"{_CKPT_MAGIC} {_CKPT_VERSION}\n")
         widths = " ".join(str(w) for w in net.arch.widths)
-        fh.write(
-            f"s {net.arch.activation_power} mask {int(net.mask_enabled)} widths {widths}\n"
-        )
+        fh.write(f"s {net.arch.activation_power} mask 1 widths {widths}\n")
         for v in net.theta:
             fh.write(f"{v:.17g}\n")
 
@@ -527,10 +498,12 @@ def load_checkpoint(path):
             magic, head = fh.readline().split(), fh.readline().split()
             if magic != [_CKPT_MAGIC, str(_CKPT_VERSION)] or head[:5:2] != ["s", "mask", "widths"]:
                 raise ValueError(f"not a version-{_CKPT_VERSION} checkpoint")
+            if head[3] != "1":  # every field is masked
+                raise ValueError(f"mask token must be 1, got {head[3]!r}")
             theta = np.array([float(line) for line in fh if line.strip()])
         if not np.all(np.isfinite(theta)):
             raise ValueError("non-finite parameter value")
         arch = Architecture(tuple(int(w) for w in head[5:]), activation_power=int(head[1]))
-        return MlpVectorField(arch, theta=theta, mask_enabled=bool(int(head[3])))
+        return MlpVectorField(arch, theta=theta)
     except ValueError as exc:  # also a bad architecture, theta or encoding
         raise InvalidArgumentError(f"malformed checkpoint {path}: {exc}") from None

@@ -52,6 +52,9 @@ class TrainConfig:
             if value is not None and not (low <= value and (high is None or value < high)):
                 span = f">= {low}" if high is None else f"in [{low}, {high})"
                 raise InvalidArgumentError(f"{name} must be {span}, got {value}")
+        for name in ("learning_rate", "c_d"):
+            if not getattr(self, name) > 0.0:
+                raise InvalidArgumentError(f"{name} must be > 0, got {getattr(self, name)}")
         if round(self.holdout_fraction * self.sample_size) >= self.sample_size:
             raise InvalidArgumentError("holdout_fraction holds out every sample")
         if self.optimizer not in ("adam", "momentum"):
@@ -218,6 +221,8 @@ def adaptive_architecture(n, beta, c_d=1.0, dim=1):
         raise InvalidArgumentError(f"beta must lie in (0, 1/2), got {beta}")
     if n < 3:
         raise InvalidArgumentError("need n >= 3")
+    if not c_d > 0.0:
+        raise InvalidArgumentError(f"c_d must be > 0, got {c_d}")
     if dim < 1:
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     log_n = math.log(n)

@@ -182,7 +182,7 @@ def test_each_distinct_node_is_pushed_once(monkeypatch):
     assert sum(pushed) == quad.smolyak(3, 4).node_count
 
 
-@pytest.mark.parametrize("change", ["theta", "project_theta", "steps", "mask_enabled"])
+@pytest.mark.parametrize("change", ["theta", "project_theta", "steps"])
 def test_changed_flow_is_pushed_again(change):
     fm = random_net_flow(dim=3, seed=5, steps=16)
     net = fm.field
@@ -194,10 +194,8 @@ def test_changed_flow_is_pushed_again(change):
         net.theta[:] = np.roll(net.theta, 1)
     elif change == "project_theta":
         net.project_theta()
-    elif change == "steps":
-        fm.steps = 8
     else:
-        net.mask_enabled = False
+        fm.steps = 8
     after = an.integrate_via_flow(grid, fm, q)
     assert after == fresh_estimate(grid, fm, q)
     assert after != before

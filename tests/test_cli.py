@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 import flowquad
 from flowquad import cli
 from flowquad.errors import ConfigurationError, InvalidArgumentError
-from flowquad.quadrature import cc_nodes, cc_weights, growth, read_grid
+from flowquad import densities as dn
+from flowquad.flow import FlowMap
+from flowquad.network import load_checkpoint
+from flowquad.quadrature import cc_nodes, cc_weights, growth, read_grid, smolyak
 
 
 def spec_payload(**overrides):
@@ -166,6 +169,23 @@ def test_cmd_run_reports_have_expected_shape(tmp_path):
         assert 0.0 <= rep.learning_error_tv_bound <= 1.0
     ckpts = [f for f in os.listdir(tmp_path / "out") if f.endswith(".ckpt")]
     assert ckpts
+
+
+def test_checkpoint_reproduces_the_reported_estimates(tmp_path):
+    # the written parameters, integrated level by level through a fresh
+    # flow map, give the estimates of results.jsonl bit for bit
+    spec = cli.parse_spec(spec_payload())
+    out = tmp_path / "out"
+    cli.cmd_run(spec, str(out), print_fn=lambda *_: None)
+    net = load_checkpoint(out / "tilt1d_seed7.ckpt")
+    fm = FlowMap(net, spec.dim)
+    qoi = cli.an.make_qoi(spec.qoi["family"], spec.dim)
+    weights = [f.pdf for f in dn.uniform_density(spec.dim).factors]  # the spec's source
+    reports = cli.an.read_reports(out / "results.jsonl")
+    assert [rep.level for rep in reports] == spec.grid["levels"]
+    for rep in reports:
+        grid = smolyak(spec.dim, rep.level, weights=weights)
+        assert cli.an.integrate_via_flow(grid, fm, qoi) == rep.estimate
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +441,10 @@ def _report_of(text):
                      id="training-holdout-takes-all-1"),
         pytest.param(_run_with("training", "max_epochs", value=0), id="training-no-epochs"),
         pytest.param(_run_with("training", "momentum", value=0.9), id="training-momentum"),
+        pytest.param(_run_with("training", "learning_rate", value=0), id="training-lr-zero"),
+        pytest.param(_run_with("training", "learning_rate", value=-1), id="training-lr-negative"),
+        pytest.param(_run_with("training", "c_d", value=0), id="training-c_d-zero"),
+        pytest.param(_run_with("training", "c_d", value=-1.5), id="training-c_d-negative"),
         pytest.param(_run_with("qoi", value={"family": "coordinate", "params": {"axis": 0.7}}),
                      id="qoi-axis-not-integral"),
         pytest.param(_run_with("qoi", value={"family": "product", "params": {"axis": 0}}),
@@ -438,6 +462,10 @@ def _report_of(text):
                      id="calc-schedule-d-negative"),
         pytest.param(lambda *_: ["calc", "schedule", "n=1e6", "beta=0.25", "d=0"],
                      id="calc-schedule-d-zero"),
+        pytest.param(lambda *_: ["calc", "schedule", "n=1e6", "beta=0.25", "c_d=0"],
+                     id="calc-schedule-c_d-zero"),
+        pytest.param(lambda *_: ["calc", "schedule", "n=1e6", "beta=0.25", "c_d=-2"],
+                     id="calc-schedule-c_d-negative"),
         pytest.param(lambda *_: ["calc", "constants", "L=2", "W=4", "d=2", "c_dkl=-1"],
                      id="calc-constants-c_dkl-negative"),
         pytest.param(lambda *_: ["calc", "constants", "L=2", "W=4", "d=2", "c_dkl=0"],

@@ -22,9 +22,15 @@ from flowquad.network import (
 )
 
 
-def small_net(dim=2, depth=2, width=8, seed=0, mask=True):
+def small_net(dim=2, depth=2, width=8, seed=0):
     arch = hypothesis_architecture(dim, depth, width)
-    return MlpVectorField(arch, mask_enabled=mask, rng=np.random.default_rng(seed))
+    return MlpVectorField(arch, rng=np.random.default_rng(seed))
+
+
+def value_vjp(net, x, t, lam_v):
+    """vjp of the value term alone, through a tangent cache."""
+    cache = net.forward_with_cache(x, t, need_tangents=True)[1]
+    return net.vjp(cache, lam_v=lam_v, lam_div=np.zeros(len(cache["raw"])))
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +80,34 @@ def test_mask_zeroes_boundary_components():
 
 
 def test_hand_set_single_unit():
-    # one hidden ReQU unit computing relu(x - 0.5)^2, output unmasked
+    # one hidden ReQU unit computing relu(x - 0.5)^2, times the mask x(1 - x)
     arch = Architecture((2, 1, 1), activation_power=2)
     theta = np.zeros(arch.param_count)
     theta[0] = 1.0   # W0 = [1, 0]
     theta[2] = -0.5  # b0
     theta[3] = 1.0   # W1
-    net = MlpVectorField(arch, theta=theta, mask_enabled=False)
-    assert abs(net.forward(np.array([0.75]), 0.0)[0] - 0.0625) < 1e-15
+    net = MlpVectorField(arch, theta=theta)
+    assert abs(net.forward(np.array([0.75]), 0.0)[0] - 0.0625 * 0.1875) < 1e-15
 
 
 def test_forward_overflow_reports_layer():
     arch = Architecture((2, 4, 1), activation_power=2)
-    net = MlpVectorField(
-        arch, theta=np.full(arch.param_count, np.inf), mask_enabled=False
-    )
+    net = MlpVectorField(arch, theta=np.full(arch.param_count, np.inf))
     with pytest.raises(NumericalOverflowError) as err:
         net.forward(np.array([0.5]), 0.0)
     assert err.value.layer == 0
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_overflow_inside_a_layer_raises_without_a_warning(tangents):
+    # 1e100 weights: layer 0 gives ~1e100, its square 1e200, layer 1 ~4e300,
+    # whose square overflows; layer 2 then reads inf.  Warnings are errors
+    # under this suite's settings, so a warning fails the test.
+    arch = Architecture((2, 4, 4, 1), activation_power=2)
+    net = MlpVectorField(arch, theta=np.full(arch.param_count, 1e100))
+    with pytest.raises(NumericalOverflowError) as err:
+        net.forward_with_cache(np.array([[0.5]]), 0.5, need_tangents=tangents)
+    assert err.value.layer == 2
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +132,7 @@ def test_backward_matches_finite_differences(dim, depth, width, seed):
     rng = np.random.default_rng(seed + 100)
     x = rng.uniform(0.1, 0.9, size=(4, dim))
     lam = rng.normal(size=(4, dim))
-    g_an, _ = net.vjp(net.forward_with_cache(x, 0.37)[1], lam_v=lam)
+    g_an, _ = value_vjp(net, x, 0.37, lam)
 
     def fun(theta):
         probe = MlpVectorField(net.arch, theta=theta)
@@ -131,7 +147,7 @@ def test_backward_input_gradient_matches_fd():
     net = small_net(2, 2, 8, 5)
     x = np.array([[0.3, 0.6]])
     lam = np.array([[1.0, -2.0]])
-    _, gx = net.vjp(net.forward_with_cache(x, 0.5)[1], lam_v=lam)
+    _, gx = value_vjp(net, x, 0.5, lam)
     h = 1e-6
     for k in range(2):
         xp = x.copy()
@@ -147,7 +163,7 @@ def test_zero_theta_gradient_structure():
     arch = hypothesis_architecture(2, 2, 6)
     net = MlpVectorField(arch, theta=np.zeros(arch.param_count))
     x = np.array([[0.4, 0.7]])
-    g, _ = net.vjp(net.forward_with_cache(x, 0.2)[1], lam_v=np.ones((1, 2)))
+    g, _ = value_vjp(net, x, 0.2, np.ones((1, 2)))
     o = 0
     for li, (din, dout) in enumerate(zip(arch.widths[:-1], arch.widths[1:])):
         wslice = g[o : o + din * dout]
@@ -163,11 +179,12 @@ def test_zero_theta_gradient_structure():
 
 def test_linear_mode_matches_least_squares_gradient():
     # ReLU with every hidden pre-activation positive acts as the identity:
-    # the net is affine and the gradient has a closed form
+    # the raw output is affine and the gradient has a closed form; the
+    # mask eta scales the cotangent to resid * eta
     arch = Architecture((2, 3, 1), activation_power=1)
     rng = np.random.default_rng(8)
     theta = rng.uniform(-0.5, 0.5, size=arch.param_count)
-    net = MlpVectorField(arch, theta=theta, mask_enabled=False)
+    net = MlpVectorField(arch, theta=theta)
     net.layers[0][1][:] += 1.5  # b0: pre-activations stay >= 0.25 on [0, 1] x {0.5}
     w0, b0 = net.layers[0]
     w1, b1 = net.layers[1]
@@ -176,11 +193,12 @@ def test_linear_mode_matches_least_squares_gradient():
     y = rng.normal(size=(6, 1))
     resid = (u @ w0.T + b0) @ w1.T + b1 - y
 
-    g, _ = net.vjp(net.forward_with_cache(x, 0.5)[1], lam_v=resid)  # of 0.5 * sum resid^2
-    grad_w0 = w1.T @ resid.T @ u
-    grad_b0 = (resid @ w1).sum(axis=0)
-    grad_w1 = resid.T @ (u @ w0.T + b0)
-    grad_b1 = resid.sum(axis=0)
+    g, _ = value_vjp(net, x, 0.5, resid)  # of sum resid . v
+    r = resid * x * (1.0 - x)
+    grad_w0 = w1.T @ r.T @ u
+    grad_b0 = (r @ w1).sum(axis=0)
+    grad_w1 = r.T @ (u @ w0.T + b0)
+    grad_b1 = r.sum(axis=0)
     expect = np.concatenate(
         [grad_w0.ravel(), grad_b0, grad_w1.ravel(), grad_b1]
     )
@@ -210,7 +228,7 @@ def test_divergence_identity_field_masked():
     w1 = np.zeros((d, d + 1))
     w1[:, :d] = np.eye(d)
     theta[o : o + d * (d + 1)] = w1.ravel()
-    net = MlpVectorField(arch, theta=theta, mask_enabled=True)
+    net = MlpVectorField(arch, theta=theta)
     x = np.full(d, 0.5)
     assert abs(net.divergence(x, 0.0) - d * 0.25) < 1e-14
     # general point: sum of eta_i + x_i (1 - 2 x_i)
@@ -238,7 +256,7 @@ def test_divergence_gradient_matches_fd():
     net = small_net(2, 2, 6, seed=13)
     x = np.array([[0.3, 0.7]])
     _, cache = net.forward_with_cache(x, 0.25, need_tangents=True)
-    g_an, gx_an = net.vjp(cache, lam_div=np.array([1.0]))
+    g_an, gx_an = net.vjp(cache, lam_v=0, lam_div=np.array([1.0]))
 
     def fun(theta):
         probe = MlpVectorField(net.arch, theta=theta)
@@ -258,17 +276,16 @@ def test_divergence_gradient_matches_fd():
         assert abs(gx_an[0, k] - fd) < 2e-5
 
 
-@pytest.mark.parametrize("mask", [True, False])
 @pytest.mark.parametrize("power", [2, 3])
 @pytest.mark.parametrize("depth", [1, 3])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_joint_vjp_matches_fd_on_batches(dim, depth, power, mask):
+def test_joint_vjp_matches_fd_on_batches(dim, depth, power):
     # B > 1 with both cotangents: a sample/axis mix-up in the stacked
     # (d*B, W) tangent rows shows in gtheta and in gx
     batch, t = 5, 0.35
     arch = hypothesis_architecture(dim, depth, 6, activation_power=power)
-    seed = 100 * dim + 10 * depth + power + int(mask)
-    net = MlpVectorField(arch, mask_enabled=mask, rng=np.random.default_rng(seed))
+    seed = 100 * dim + 10 * depth + power + 1
+    net = MlpVectorField(arch, rng=np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     x = rng.uniform(0.1, 0.9, size=(batch, dim))
     lam_v = rng.normal(size=(batch, dim))
@@ -278,26 +295,22 @@ def test_joint_vjp_matches_fd_on_batches(dim, depth, power, mask):
     g_an, gx_an = net.vjp(cache, lam_v=lam_v, lam_div=lam_div)
 
     # the network's buffers, used on other rows in between, give the same
-    # bits; so does a value-only cache and vjp, which recompute sigma' into
-    # them, against a fresh network
+    # bits, and so does a fresh network
     net.vjp(net.forward_with_cache(1.0 - x, 0.9, need_tangents=True)[1],
             lam_v=lam_v, lam_div=lam_div)
-    v_again, cache_again = net.forward_with_cache(x, t, need_tangents=True)
-    for got, want in zip((v_again, cache_again["div"], *net.vjp(cache_again, lam_v, lam_div)),
-                         (v, div, g_an, gx_an)):
-        np.testing.assert_array_equal(got, want)
-    cache_again = net.forward_with_cache(x, t)[1]
     fresh = net.clone()
-    for got, want in zip(net.vjp(cache_again, lam_v=lam_v),
-                         fresh.vjp(fresh.forward_with_cache(x, t)[1], lam_v=lam_v)):
-        np.testing.assert_array_equal(got, want)
+    for probe in (net, fresh):
+        v_again, cache_again = probe.forward_with_cache(x, t, need_tangents=True)
+        again = (v_again, cache_again["div"], *probe.vjp(cache_again, lam_v, lam_div))
+        for got, want in zip(again, (v, div, g_an, gx_an)):
+            np.testing.assert_array_equal(got, want)
 
     def loss(probe, xs):
         v, c = probe.forward_with_cache(xs, t, need_tangents=True)
         return float(np.sum(lam_v * v) + np.sum(lam_div * c["div"]))
 
     g_fd = fd_gradient(
-        lambda theta: loss(MlpVectorField(arch, theta=theta, mask_enabled=mask), x),
+        lambda theta: loss(MlpVectorField(arch, theta=theta), x),
         net.theta.copy(),
     )
     assert np.max(np.abs(g_an - g_fd)) / max(np.max(np.abs(g_fd)), 1e-10) < 1e-5
@@ -306,10 +319,17 @@ def test_joint_vjp_matches_fd_on_batches(dim, depth, power, mask):
     np.testing.assert_allclose(gx_an.ravel(), gx_fd, rtol=0, atol=1e-5 * np.max(np.abs(gx_fd)))
 
 
-@pytest.mark.parametrize("mask", [True, False])
-def test_forward_into_one_workspace_returns_fresh_values(mask):
+def test_vjp_needs_a_tangent_cache():
+    net = small_net(2, 2, 8, seed=21)
+    x = np.random.default_rng(22).uniform(size=(3, 2))
+    cache = net.forward_with_cache(x, 0.4)[1]
+    with pytest.raises(InvalidArgumentError, match="tangent"):
+        net.vjp(cache, lam_v=np.ones((3, 2)), lam_div=np.zeros(3))
+
+
+def test_forward_into_one_workspace_returns_fresh_values():
     # two evaluations into the network's one value buffer set
-    net = small_net(2, 2, 8, seed=23, mask=mask)
+    net = small_net(2, 2, 8, seed=23)
     x = np.random.default_rng(24).uniform(size=(2, 4, 2))
     first = net.forward(x[0], 0.3)
     kept = first.copy()
@@ -318,9 +338,8 @@ def test_forward_into_one_workspace_returns_fresh_values(mask):
     np.testing.assert_array_equal(first, net.clone().forward(x[0], 0.3))
 
 
-@pytest.mark.parametrize("mask", [True, False])
-def test_value_jacobian_divergence_results_survive_later_evaluations(mask):
-    net = small_net(2, 2, 8, seed=25, mask=mask)
+def test_value_jacobian_divergence_results_survive_later_evaluations():
+    net = small_net(2, 2, 8, seed=25)
     x = np.random.default_rng(26).uniform(size=(2, 4, 2))
     first = net.value_jacobian_divergence(x[0], 0.3)
     kept = [a.copy() for a in first]
@@ -511,7 +530,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(net, path)
     back = load_checkpoint(path)
     assert back.arch == net.arch
-    assert back.mask_enabled == net.mask_enabled
+    assert path.read_text().splitlines()[1] == "s 2 mask 1 widths 3 6 6 2"
     np.testing.assert_array_equal(back.theta, net.theta)
     x = np.random.default_rng(0).uniform(size=(3, 2))
     np.testing.assert_array_equal(back.forward(x, 0.3), net.forward(x, 0.3))
@@ -527,6 +546,8 @@ def test_checkpoint_round_trip(tmp_path):
         pytest.param("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\nabc\n", id="value-not-a-number"),
         pytest.param("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\n", id="too-few-values"),
         pytest.param("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\nnan\n0.5\n", id="value-nan"),
+        pytest.param("flowquad-net 1\ns 2 mask 0 widths 2 1\n0.5\n0.5\n0.5\n", id="mask-0"),
+        pytest.param("flowquad-net 1\ns 2 mask 7 widths 2 1\n0.5\n0.5\n0.5\n", id="mask-7"),
         pytest.param(b"flowquad-net 1\n\xff\n", id="not-utf8"),
     ],
 )
