@@ -283,9 +283,9 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
 
     result = train_erm(config, samples, source)
     net = MlpVectorField(result.architecture, theta=result.theta_hat)
+    fm = FlowMap(net, dim=spec.dim, steps=config.integrator_steps)
     with _replaced_on_success(os.path.join(out_dir, f"{spec.name}_seed{seed}.ckpt")) as tmp:
-        save_checkpoint(net, tmp)
-    fm = FlowMap(net, dim=spec.dim)
+        save_checkpoint(fm, tmp)
 
     learning_available = spec.dim <= 2
     if learning_available:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DomainError, IntegrationFailureError, InvalidArgumentError
 
-DEFAULT_STEPS = 64
 # most rows per dense sweep.  Against 1,024, 512 was 4-16% slower on the
 # benchmark's train1d, run2d and integrate6d; 2,048 was 2-5% faster on run2d
 # and integrate6d, 1-2% slower on train1d and took 5-8% more memory on run2d
@@ -28,7 +27,8 @@ SWEEP_BLOCK_ROWS = 1024
 
 @dataclasses.dataclass
 class FlowMap:
-    """RK4 flow of `field` with a fixed number of uniform steps.
+    """RK4 flow of `field` with `steps` uniform steps, which have no default:
+    a trained map is the one with the step count it was trained with.
 
     `images` remembers the time-1 images of the rows it has pushed, for
     one parameter snapshot at a time.
@@ -36,7 +36,7 @@ class FlowMap:
 
     field: object
     dim: int
-    steps: int = DEFAULT_STEPS
+    steps: int
     # (snapshot, sorted keys of pushed rows, their images); replaced, never
     # mutated, so a push that raises leaves the previous memo intact
     _memo: tuple = dataclasses.field(default=None, init=False, repr=False, compare=False)

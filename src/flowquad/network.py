@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalOverflowError
+from .flow import FlowMap
 
 
 # ---------------------------------------------------------------------------
@@ -477,33 +478,36 @@ def capacity_constants(hidden_depth, width, dim, c_d=1.0, c_dkl=1.0):
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = "flowquad-net"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+_CKPT_KEYS = ["s", "mask", "steps", "widths"]  # of the header line, before their values
 
 
-def save_checkpoint(net, path):
-    """Versioned text checkpoint: architecture line, then one value per line."""
+def save_checkpoint(fm, path):
+    """Versioned text checkpoint of a network FlowMap: header line, then one value per line."""
     with open(path, "w") as fh:
         fh.write(f"{_CKPT_MAGIC} {_CKPT_VERSION}\n")
-        widths = " ".join(str(w) for w in net.arch.widths)
-        fh.write(f"s {net.arch.activation_power} mask 1 widths {widths}\n")
-        for v in net.theta:
+        widths = " ".join(str(w) for w in fm.field.arch.widths)
+        fh.write(f"s {fm.field.arch.activation_power} mask 1 steps {fm.steps} widths {widths}\n")
+        for v in fm.field.theta:
             fh.write(f"{v:.17g}\n")
 
 
 def load_checkpoint(path):
-    """Read a save_checkpoint file; a malformed one raises
-    InvalidArgumentError naming the file."""
+    """The FlowMap a save_checkpoint file records; a malformed or version-1
+    file raises InvalidArgumentError naming the file."""
     try:
         with open(path) as fh:
             magic, head = fh.readline().split(), fh.readline().split()
-            if magic != [_CKPT_MAGIC, str(_CKPT_VERSION)] or head[:5:2] != ["s", "mask", "widths"]:
+            if magic == [_CKPT_MAGIC, "1"]:
+                raise ValueError("version 1 has no RK4 step count")
+            if magic != [_CKPT_MAGIC, str(_CKPT_VERSION)] or head[:7:2] != _CKPT_KEYS:
                 raise ValueError(f"not a version-{_CKPT_VERSION} checkpoint")
             if head[3] != "1":  # every field is masked
                 raise ValueError(f"mask token must be 1, got {head[3]!r}")
             theta = np.array([float(line) for line in fh if line.strip()])
         if not np.all(np.isfinite(theta)):
             raise ValueError("non-finite parameter value")
-        arch = Architecture(tuple(int(w) for w in head[5:]), activation_power=int(head[1]))
-        return MlpVectorField(arch, theta=theta)
-    except ValueError as exc:  # also a bad architecture, theta or encoding
+        arch = Architecture(tuple(int(w) for w in head[7:]), activation_power=int(head[1]))
+        return FlowMap(MlpVectorField(arch, theta=theta), dim=arch.widths[-1], steps=int(head[5]))
+    except ValueError as exc:  # also a bad architecture, steps, theta or encoding
         raise InvalidArgumentError(f"malformed checkpoint {path}: {exc}") from None

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 import flowquad
 from flowquad import cli
 from flowquad.errors import ConfigurationError, InvalidArgumentError
-from flowquad import densities as dn
-from flowquad.flow import FlowMap
 from flowquad.network import load_checkpoint
 from flowquad.quadrature import cc_nodes, cc_weights, growth, read_grid, smolyak
 
@@ -172,20 +170,26 @@ def test_cmd_run_reports_have_expected_shape(tmp_path):
 
 
 def test_checkpoint_reproduces_the_reported_estimates(tmp_path):
-    # the written parameters, integrated level by level through a fresh
-    # flow map, give the estimates of results.jsonl bit for bit
+    # the flow map the checkpoint records, step count included, gives the
+    # TV, KL, estimates and quadrature errors of results.jsonl bit for bit
     spec = cli.parse_spec(spec_payload())
     out = tmp_path / "out"
     cli.cmd_run(spec, str(out), print_fn=lambda *_: None)
-    net = load_checkpoint(out / "tilt1d_seed7.ckpt")
-    fm = FlowMap(net, spec.dim)
+    fm = load_checkpoint(out / "tilt1d_seed7.ckpt")
+    assert (fm.dim, fm.steps) == (spec.dim, spec.training["integrator_steps"])
+    source = cli._density_from_spec(spec.source, spec.dim)
+    target = cli._density_from_spec(spec.target, spec.dim)
     qoi = cli.an.make_qoi(spec.qoi["family"], spec.dim)
-    weights = [f.pdf for f in dn.uniform_density(spec.dim).factors]  # the spec's source
+    tv, kl = cli.an.tv_kl_estimate(target, fm, source)
+    oracle = cli.an.pullback_integral_oracle(fm, qoi, source)
     reports = cli.an.read_reports(out / "results.jsonl")
     assert [rep.level for rep in reports] == spec.grid["levels"]
     for rep in reports:
-        grid = smolyak(spec.dim, rep.level, weights=weights)
-        assert cli.an.integrate_via_flow(grid, fm, qoi) == rep.estimate
+        assert (rep.learning_error_tv_bound, rep.kl_estimate) == (tv, kl)
+        grid = smolyak(spec.dim, rep.level, weights=[f.pdf for f in source.factors])
+        estimate = cli.an.integrate_via_flow(grid, fm, qoi)
+        assert estimate == rep.estimate
+        assert abs(oracle - estimate) == rep.quadrature_error
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def test_images_push_unseen_rows_in_first_appearance_order():
         np.concatenate([shuffled[:50], rng.uniform(size=(30, 3)), shuffled[:50]]),
         grids[2][::-1],
     ]
-    fm, pushed = FlowMap(random_net(dim=3), dim=3), []
+    fm, pushed = FlowMap(random_net(dim=3), dim=3, steps=4), []
     for x in batches:
         np.testing.assert_array_equal(fm.images(x, recording_push(pushed)), fake_push(x))
     expected = expected_push_batches(batches)
@@ -259,7 +259,7 @@ def test_images_push_unseen_rows_in_first_appearance_order():
 
 def test_images_duplicate_rows_in_one_batch_are_pushed_once():
     x = np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [0.5, 0.6], [0.3, 0.4]])
-    fm, pushed = FlowMap(random_net(dim=2), dim=2), []
+    fm, pushed = FlowMap(random_net(dim=2), dim=2, steps=4), []
     np.testing.assert_array_equal(fm.images(x, recording_push(pushed)), fake_push(x))
     assert len(pushed) == 1
     np.testing.assert_array_equal(pushed[0], x[[0, 1, 3]])
@@ -267,7 +267,7 @@ def test_images_duplicate_rows_in_one_batch_are_pushed_once():
 
 def test_images_keep_negative_zero_apart():
     x = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5]])
-    fm, pushed = FlowMap(random_net(dim=2), dim=2), []
+    fm, pushed = FlowMap(random_net(dim=2), dim=2, steps=4), []
     out = fm.images(x, recording_push(pushed))
     assert [row.tobytes() for row in out] == [row.tobytes() for row in fake_push(x)]
     assert len(pushed) == 1 and len(pushed[0]) == 2
@@ -279,7 +279,7 @@ def test_images_keep_negative_zero_apart():
 
 def test_images_reuse_memo_for_grid_read_back(tmp_path):
     grid = quad.smolyak(2, 4)
-    fm, pushed = FlowMap(random_net(dim=2), dim=2), []
+    fm, pushed = FlowMap(random_net(dim=2), dim=2, steps=4), []
     first = fm.images(grid.nodes, recording_push(pushed))
     path = tmp_path / "grid.txt"
     quad.write_grid(grid, path)

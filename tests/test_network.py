@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowquad import network as net_mod
+from flowquad.flow import FlowMap
 from flowquad.errors import InvalidArgumentError, NumericalOverflowError
 from flowquad.network import (
     Architecture,
@@ -527,28 +528,52 @@ def test_envelope_bound_is_exp_tower():
 def test_checkpoint_round_trip(tmp_path):
     net = small_net(2, 2, 6, seed=37)
     path = tmp_path / "net.ckpt"
-    save_checkpoint(net, path)
+    save_checkpoint(FlowMap(net, dim=2, steps=12), path)
     back = load_checkpoint(path)
-    assert back.arch == net.arch
-    assert path.read_text().splitlines()[1] == "s 2 mask 1 widths 3 6 6 2"
-    np.testing.assert_array_equal(back.theta, net.theta)
+    assert (back.dim, back.steps) == (2, 12)
+    assert back.field.arch == net.arch
+    header = ["flowquad-net 2", "s 2 mask 1 steps 12 widths 3 6 6 2"]
+    assert path.read_text().splitlines()[:2] == header
+    np.testing.assert_array_equal(back.field.theta, net.theta)
     x = np.random.default_rng(0).uniform(size=(3, 2))
-    np.testing.assert_array_equal(back.forward(x, 0.3), net.forward(x, 0.3))
+    np.testing.assert_array_equal(back.field.forward(x, 0.3), net.forward(x, 0.3))
+
+
+def test_version_1_checkpoint_is_rejected_for_its_missing_step_count(tmp_path):
+    path = tmp_path / "old.ckpt"
+    path.write_text("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\n0.5\n0.5\n")
+    with pytest.raises(InvalidArgumentError, match=r"old\.ckpt: version 1 has no RK4 step count"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
     "text",
     [
         pytest.param("flowquad-net\n", id="bare-magic"),
-        pytest.param("flowquad-net 1\n", id="no-header"),
-        pytest.param("flowquad-net 1\ns 2 mask\n", id="short-header"),
-        pytest.param("flowquad-net 1\ns two mask 1 widths 3 2\n", id="power-not-a-number"),
-        pytest.param("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\nabc\n", id="value-not-a-number"),
-        pytest.param("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\n", id="too-few-values"),
-        pytest.param("flowquad-net 1\ns 2 mask 1 widths 2 1\n0.5\nnan\n0.5\n", id="value-nan"),
-        pytest.param("flowquad-net 1\ns 2 mask 0 widths 2 1\n0.5\n0.5\n0.5\n", id="mask-0"),
-        pytest.param("flowquad-net 1\ns 2 mask 7 widths 2 1\n0.5\n0.5\n0.5\n", id="mask-7"),
-        pytest.param(b"flowquad-net 1\n\xff\n", id="not-utf8"),
+        pytest.param("flowquad-net 2\n", id="no-header"),
+        pytest.param("flowquad-net 2\ns 2 mask\n", id="short-header"),
+        pytest.param("flowquad-net 2\ns two mask 1 steps 4 widths 3 2\n", id="power-not-a-number"),
+        pytest.param("flowquad-net 2\ns 2 mask 1 steps 4 widths 2 1\n0.5\nabc\n",
+                     id="value-not-a-number"),
+        pytest.param("flowquad-net 2\ns 2 mask 1 steps 4 widths 2 1\n0.5\n", id="too-few-values"),
+        pytest.param("flowquad-net 2\ns 2 mask 1 steps 4 widths 2 1\n0.5\nnan\n0.5\n",
+                     id="value-nan"),
+        pytest.param("flowquad-net 2\ns 2 mask 0 steps 4 widths 2 1\n0.5\n0.5\n0.5\n",
+                     id="mask-0"),
+        pytest.param("flowquad-net 2\ns 2 mask 7 steps 4 widths 2 1\n0.5\n0.5\n0.5\n",
+                     id="mask-7"),
+        pytest.param("flowquad-net 2\ns 2 mask 1 steps 0 widths 2 1\n0.5\n0.5\n0.5\n",
+                     id="steps-0"),
+        pytest.param("flowquad-net 2\ns 2 mask 1 steps -2 widths 2 1\n0.5\n0.5\n0.5\n",
+                     id="steps-negative"),
+        pytest.param("flowquad-net 2\ns 2 mask 1 steps 2.5 widths 2 1\n0.5\n0.5\n0.5\n",
+                     id="steps-not-integral"),
+        pytest.param("flowquad-net 2\ns 2 mask 1 steps widths 2 1\n0.5\n0.5\n0.5\n",
+                     id="steps-missing"),
+        pytest.param("flowquad-net 2\ns 2 mask 1 widths 2 1\n0.5\n0.5\n0.5\n", id="no-steps-key"),
+        pytest.param("flowquad-net 3\ns 2 mask 1 steps 4 widths 2 1\n0.5\n0.5\n0.5\n",
+                     id="version-3"),
+        pytest.param(b"flowquad-net 2\n\xff\n", id="not-utf8"),
     ],
 )
 def test_malformed_checkpoint_names_the_file(tmp_path, text):
