@@ -396,7 +396,7 @@ def cmd_calc(kind, params, print_fn=print):
             value = got.value if got.value is not None else "beyond integer range"
             print_fn(f"log10 n >= {got.log10:.6g}   (n >= {value})")
             return got
-        got = adaptive_architecture(int(v["n"]), v["beta"], c_d=v["c_d"], dim=_whole(v, "d"))
+        got = adaptive_architecture(_whole(v, "n"), v["beta"], c_d=v["c_d"], dim=_whole(v, "d"))
     except InvalidArgumentError as exc:
         raise ConfigurationError(f"calc {kind}: {exc}", field=f"calc.{kind}") from None
     print_fn(f"width W      = {got.width}   (raw {got.raw_width:.6g})")

@@ -458,6 +458,8 @@ def _report_of(text):
         pytest.param(_threads_option, id="threads-option"),
         pytest.param(lambda *_: ["calc", "schedule", "n=abc"], id="calc-not-a-number"),
         pytest.param(lambda *_: ["calc", "schedule", "beta=0.25"], id="calc-missing-key"),
+        pytest.param(lambda *_: ["calc", "schedule", "n=3.9", "beta=0.25"],
+                     id="calc-schedule-n-not-integral"),
         pytest.param(lambda *_: ["calc", "threshold", "epsilon=0.1", "delta=0.05", "beta=0.25",
                                  "c=0"], id="calc-threshold-c-zero"),
         pytest.param(lambda *_: ["calc", "threshold", "epsilon=0.1", "delta=0.05", "beta=0.25",
