@@ -102,25 +102,19 @@ def _as_batch(x, dim):
     return x, single
 
 
-def _check_finite(state, step):
-    if not np.all(np.isfinite(state)):
-        raise IntegrationFailureError(
-            f"non-finite flow state at step {step}", step=step
-        )
-
-
 def _excursion(x):
     return float(max(np.max(x - 1.0, initial=0.0), np.max(-x, initial=0.0)))
 
 
-def _rk4(rhs, y, steps, stages=None):
+def _rk4(rhs, y, steps, stages=None, excursion=False):
     """Integrate dy/ds = rhs(y, s) over [0, 1] with `steps` uniform RK4 steps.
 
     `rhs` returns (velocity, divergence); the divergence is integrated
     alongside the state (pass 0.0 where it is not needed).  Returns the
-    final state clamped to the cube, the divergence integral and the
-    largest exit distance from the cube; when `stages` is a list, the four
-    stage inputs of every step are appended to it in order.
+    final state clamped to the cube, the divergence integral and, with
+    `excursion`, the largest exit distance from the cube (else 0.0); when
+    `stages` is a list, the four stage inputs of every step are appended
+    to it in order.
     """
 
     def stage(u, s):
@@ -129,7 +123,7 @@ def _rk4(rhs, y, steps, stages=None):
         return rhs(u, s)
 
     acc = np.zeros(len(y))
-    worst = _excursion(y)
+    worst = _excursion(y) if excursion else 0.0
     h = 1.0 / steps
     for n in range(steps):
         # stage inputs are not held past their rhs call: large batches
@@ -141,22 +135,25 @@ def _rk4(rhs, y, steps, stages=None):
         k4, d4 = stage(y + h * k3, s + h)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         acc = acc + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        _check_finite(y, n)
-        worst = max(worst, _excursion(y))
+        if not np.all(np.isfinite(y)):
+            raise IntegrationFailureError(f"non-finite flow state at step {n}", step=n)
+        if excursion:
+            worst = max(worst, _excursion(y))
     return np.clip(y, 0.0, 1.0), acc, worst
 
 
-def _sweep(fm, x, rhs):
+def _sweep(fm, x, rhs, excursion=False):
     """_rk4 of rhs from the rows of x, in row blocks of at most
     SWEEP_BLOCK_ROWS rows.
 
     Blocks have near-equal sizes, so none has a single row unless x has:
     a 1-row product takes another BLAS path, which moves the last bits.
     Returns the concatenated states and divergence integrals and the
-    largest excursion; a failure reports its step in the first failing block.
+    largest excursion (0.0 unless asked for); a failure reports its step in
+    the first failing block.
     """
     blocks = np.array_split(x, max(1, -(-len(x) // SWEEP_BLOCK_ROWS)))
-    y, acc, worst = zip(*(_rk4(rhs, b, fm.steps) for b in blocks))
+    y, acc, worst = zip(*(_rk4(rhs, b, fm.steps, excursion=excursion) for b in blocks))
     return np.concatenate(y), np.concatenate(acc), max(worst)
 
 
@@ -167,7 +164,7 @@ def flow_forward(fm, x, return_excursion=False):
     return_excursion (the boundary mask keeps it at integrator-error size).
     """
     y, single = _as_batch(x, fm.dim)
-    y, _, worst = _sweep(fm, y, lambda u, t: (fm.field(u, t), 0.0))
+    y, _, worst = _sweep(fm, y, lambda u, t: (fm.field(u, t), 0.0), return_excursion)
     out = y[0] if single else y
     return (out, worst) if return_excursion else out
 
@@ -204,12 +201,6 @@ def _log_source(source, z0):
     return np.log(vals)
 
 
-def _log_density_sweep(fm, source, w):
-    """Clipped preimages of w and their log-densities, in one backward RK4 sweep."""
-    z0, acc, _ = _sweep(fm, w, lambda u, s: _aug_rhs(fm, u, s))
-    return z0, _log_source(source, z0) - acc
-
-
 def log_pushforward_density(fm, source, y):
     """log density of the flow-pushforward of `source` at y.
 
@@ -217,7 +208,8 @@ def log_pushforward_density(fm, source, y):
     the same RK4 steps; the source log-density is read at the preimage.
     """
     w, single = _as_batch(y, fm.dim)
-    logp = _log_density_sweep(fm, source, w)[1]
+    z0, acc, _ = _sweep(fm, w, lambda u, s: _aug_rhs(fm, u, s))
+    logp = _log_source(source, z0) - acc
     return float(logp[0]) if single else logp
 
 

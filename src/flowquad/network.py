@@ -11,10 +11,14 @@ Differentiation is hand-rolled over the fixed layer graph:
   * a joint reverse pass through both chains for gradients of the
     divergence itself (second-order terms via sigma'').
 
-The d tangents of B points are stacked as one (d*B, W) block per layer
-(row k*B + b is tangent k of sample b) that goes through the same weights
-as the primal, so every tangent and divergence-VJP product is one 2-D
-GEMM.  Only value_jacobian_divergence assembles the d x d Jacobian.  The
+B points and their d tangents travel as one ((d+1)*B, W) block per layer
+(row k*B + b is tangent k of sample b; k = 0 is its value), so the
+elementwise work of a layer runs once, and the reverse pass gets value and
+tangent cotangents from one product with w.  Forward products give the
+value rows a product of their own, since a BLAS picks its kernel by shape
+and more rows could round them otherwise than a value-only call does.
+The pre-activations of a call share one flat buffer with one finite
+check.  Only value_jacobian_divergence assembles the d x d Jacobian.  The
 adjoint recomputes each stage's forward cache instead of keeping it.
 
 Every layer-sized intermediate is written with out= into buffers the field
@@ -95,25 +99,30 @@ def relu_power(x, s):
     return np.maximum(x, 0.0) ** s
 
 
-def _power_over(r, s):
-    """r**s, written over r."""
-    if s == 1:
-        return r
-    return np.square(r, out=r) if s == 2 else np.power(r, s, out=r)
-
-
-def _deriv_over(r, s, k):
-    """k-th derivative (k = 1 or 2) of max(a, 0)**s, written over r = max(a, 0)."""
-    c = math.perm(s, k)  # s! / (s - k)!, 0 for k > s
-    if c == 0:
-        r.fill(0.0)
-    elif k == s:
-        np.greater(r, 0.0, out=r)
+def _power(r, e, c, out):
+    """c * r**e into out (which may be r) for r = max(a, 0), or for a itself
+    at e = 0, where r**0 is the step (r > 0): ReLU^s and its derivatives."""
+    if e == 1:
+        return np.multiply(r, c, out=out)
+    if e == 0:
+        np.greater(r, 0.0, out=out)
     else:
-        r = _power_over(r, s - k)
+        np.square(r, out=out) if e == 2 else np.power(r, e, out=out)
     if c > 1:
-        r *= c
-    return r
+        out *= c
+    return out
+
+
+def _product(x, w, rows, out):
+    """x @ w into out for a block whose first `rows` rows are values and the
+    rest tangents; as two products, values and tangents, where numpy would
+    call gemv (one row or one column), whose last bits depend on the row
+    count."""
+    if rows > 1 and w.shape[1] > 1:
+        return np.matmul(x, w, out=out)
+    np.matmul(x[:rows], w, out=out[:rows])
+    np.matmul(x[rows:], w, out=out[rows:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +163,16 @@ class MlpVectorField:
             raise InvalidArgumentError(f"theta must have shape ({q},), got {theta.shape}")
         self._theta = theta.copy()
         self._scratch = {False: None, True: None}
-        self._build_views()
+        self.layers = self._views(self._theta)
 
-    def _build_views(self):
-        self.layers = []
-        o = 0
+    def _views(self, flat):
+        """Per-layer (w, b) views into a parameter-shaped flat vector."""
+        views, o = [], 0
         for din, dout in zip(self.arch.widths[:-1], self.arch.widths[1:]):
-            w = self._theta[o : o + din * dout].reshape(dout, din)
-            o += din * dout
-            b = self._theta[o : o + dout]
-            o += dout
-            self.layers.append((w, b))
+            o_b = o + din * dout
+            views.append((flat[o:o_b].reshape(dout, din), flat[o_b : o_b + dout]))
+            o = o_b + dout
+        return views
 
     @property
     def theta(self):
@@ -183,23 +191,26 @@ class MlpVectorField:
 
     def _buffers(self, rows, tangents):
         """The kept buffer set of this tangent flag, rebuilt unless it has
-        `rows` rows: input rows, pre-activations, activations and, with
-        tangents, the d stacked tangents, sigma' and the reverse-mode
-        temporaries.  A vjp writes only buffers its cache does not read."""
+        `rows` rows.  Each layer's input z and pre-activation a is one block:
+        the value rows, then with tangents tangent 1, ..., tangent d (row
+        k*rows + b is tangent k of sample b).  The pre-activations of all
+        layers share one flat buffer.  With tangents the set also holds
+        sigma' of each hidden layer and the reverse pass's temporaries; a
+        vjp writes only buffers its cache does not read."""
         ws = self._scratch[tangents]
-        if ws is not None and len(ws["u"]) == rows:
+        if ws is not None and ws["rows"] == rows:
             return ws
-        d, widths, hidden = self.dim, self.arch.widths[1:], self.arch.widths[1:-1]
-
-        def bufs(cols, k=1):
-            return [np.empty((k * rows, c)) for c in cols]
-
-        ws = {"u": np.empty((rows, d + 1)), "a": bufs(widths), "z": bufs(hidden)}
+        d, widths, hidden = self.dim, self.arch.widths, self.arch.widths[1:-1]
+        k = d + 1 if tangents else 1
+        flat = np.empty(k * rows * sum(widths[1:]))
+        ends = np.cumsum([k * rows * w for w in widths[1:]])
+        a = [v.reshape(k * rows, w) for v, w in zip(np.split(flat, ends[:-1]), widths[1:])]
+        z = [np.empty((k * rows, w)) for w in widths[:-1]]
+        ws = {"rows": rows, "flat": flat, "a": a, "z": z}
         if tangents:
-            # the input tangents are the unit rows, stacked (d*B, d+1)
-            ws.update(tz0=np.repeat(np.eye(d + 1)[:d], rows, axis=0), ta=bufs(widths, d),
-                      tz=bufs(hidden, d), sp=bufs(hidden), spp=bufs(hidden), rz=bufs(hidden),
-                      red=bufs(hidden), rtz=bufs(hidden, d), prod=bufs(hidden, d))
+            z[0][rows:] = np.repeat(np.eye(d + 1)[:d], rows, axis=0)  # unit input tangents
+            for key, n in ("sp", 1), ("r", k), ("prod", d), ("red", 1), ("spp", 1):
+                ws[key] = [np.empty((n * rows, w)) for w in hidden]
         self._scratch[tangents] = ws
         return ws
 
@@ -218,50 +229,40 @@ class MlpVectorField:
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         d, batch, s = self.dim, len(x2), self.arch.activation_power
         ws = self._buffers(batch, need_tangents)
-        u = ws["u"]
-        u[:, :d] = x2
-        u[:, d] = t
-        zs = [u] + ws["z"]
-        avals = ws["a"]
-        if need_tangents:
-            tz, ta, sps = [ws["tz0"]] + ws["tz"], ws["ta"], ws["sp"]
-        z = u
-        # a value that overflows shows as a non-finite pre-activation, of
-        # its own layer or the next, which raises; numpy need not warn
+        zs, avals = ws["z"], ws["a"]
+        zs[0][:batch, :d] = x2
+        zs[0][:batch, d] = t
+        last = len(self.layers) - 1
+        # a value or tangent that overflows shows as a non-finite
+        # pre-activation, of its own layer or the next, which raises
         with np.errstate(invalid="ignore", over="ignore"):
             for li, (w, b) in enumerate(self.layers):
-                a = np.matmul(z, w.T, out=avals[li])
-                a += b
-                if not np.all(np.isfinite(a)):
-                    raise NumericalOverflowError(
-                        f"non-finite activation in layer {li}", layer=li
-                    )
+                # values and tangents are two products (see the module docstring)
+                a = np.matmul(zs[li][:batch], w.T, out=avals[li][:batch])
                 if need_tangents:
-                    at = np.matmul(tz[li], w.T, out=ta[li])
-                if li < len(self.layers) - 1:
-                    z = np.maximum(a, 0.0, out=zs[li + 1])
-                    if need_tangents:
-                        np.copyto(sps[li], z)
-                        sp = _deriv_over(sps[li], s, 1)
-                        stacked = (d, batch, len(b))
-                        np.multiply(sp, at.reshape(stacked), out=tz[li + 1].reshape(stacked))
-                    z = _power_over(z, s)
-        raw = avals[-1]
+                    np.matmul(zs[li][batch:], w.T, out=avals[li][batch:])
+                a += b
+                if li == last:
+                    break
+                z = np.maximum(a, 0.0, out=zs[li + 1][:batch])
+                if need_tangents:
+                    stacked = (d, batch, len(b))
+                    sp = _power(z, s - 1, s, out=ws["sp"][li])
+                    np.multiply(avals[li][batch:].reshape(stacked), sp,
+                                out=zs[li + 1][batch:].reshape(stacked))
+                _power(z, s, 1, out=z)
+        if not np.isfinite(ws["flat"]).all():
+            li = next(i for i, a in enumerate(avals) if not np.isfinite(a).all())
+            raise NumericalOverflowError(f"non-finite activation in layer {li}", layer=li)
+        raw = avals[-1][:batch]
         eta = x2 * (1.0 - x2)
-        etap = 1.0 - 2.0 * x2
-
-        cache = {
-            "x": x2, "zs": zs, "avals": avals, "raw": raw,
-            "eta": eta, "etap": etap,
-        }
+        cache = {"raw": raw, "eta": eta}
         if need_tangents:
-            cache["tz"] = tz
-            cache["ta"] = ta
-            cache["sps"] = sps
-            # jdiag[b, i] = d raw_i / d x_i, read from row i*B + b
-            jdiag = ta[-1].reshape(d, batch, d).diagonal(axis1=0, axis2=2)
-            cache["jdiag"] = jdiag
-            cache["div"] = np.sum(eta * jdiag + etap * raw, axis=1)
+            etap = 1.0 - 2.0 * x2
+            # jdiag[b, i] = d raw_i / d x_i, read from row (i+1)*B + b
+            jdiag = avals[-1][batch:].reshape(d, batch, d).diagonal(axis1=0, axis2=2)
+            cache.update(z=zs, a=avals, sp=ws["sp"], etap=etap, jdiag=jdiag,
+                         div=(eta * jdiag + etap * raw).sum(axis=1))
         return raw * eta, cache
 
     def value_jacobian_divergence(self, x, t):
@@ -269,7 +270,7 @@ class MlpVectorField:
         exact trace, batched."""
         v, cache = self._forward_cached(x, t, need_tangents=True)
         d, raw = self.dim, cache["raw"]
-        jac = cache["ta"][-1].reshape(d, len(raw), d).transpose(1, 2, 0)
+        jac = cache["a"][-1][len(raw):].reshape(d, len(raw), d).transpose(1, 2, 0)
         jac = cache["eta"][:, :, None] * jac
         idx = np.arange(d)
         jac[:, idx, idx] += cache["etap"] * raw
@@ -294,48 +295,50 @@ class MlpVectorField:
         The cache must come from forward_with_cache(..., need_tangents=True).
         Returns fresh arrays (grad_theta flat, grad_x (B, d)).
         """
-        if "ta" not in cache:
+        if "div" not in cache:
             raise InvalidArgumentError("vjp needs a tangent-bearing cache")
         d, s = self.dim, self.arch.activation_power
-        zs, avals, tz, ta, sps = (cache[k] for k in ("zs", "avals", "tz", "ta", "sps"))
+        zs, avals, sps = cache["z"], cache["a"], cache["sp"]
         raw, eta, etap = cache["raw"], cache["eta"], cache["etap"]
         batch = len(raw)
-        lam_v = np.atleast_2d(lam_v)
         lam_div = np.asarray(lam_div, dtype=float).reshape(batch, 1)
         ws = self._buffers(batch, True)
 
-        r_a = lam_v * eta + lam_div * etap
-        # cotangent of the stacked raw-output tangents: only the diagonal
-        # entries (row i*B + b, column i) enter the trace
-        r_t = np.zeros((d, batch, d))
+        # cotangent of the output block: the value rows, then the tangent
+        # rows, of which only the diagonal entries (row (i+1)*B + b,
+        # column i) enter the trace
+        r = np.zeros(((d + 1) * batch, d))
+        r[:batch] = lam_v * eta + lam_div * etap
         idx = np.arange(d)
-        r_t[idx, :, idx] = (lam_div * eta).T
-        r_t = r_t.reshape(d * batch, d)
+        r[batch:].reshape(d, batch, d)[idx, :, idx] = (lam_div * eta).T
 
-        gtheta = np.zeros_like(self._theta)
-        o_end = len(self._theta)
+        gtheta = np.empty_like(self._theta)
+        grads = self._views(gtheta)
         for li in range(len(self.layers) - 1, -1, -1):
-            w, b = self.layers[li]
-            dout, din = w.shape
-            o_b = o_end - dout
-            o_w = o_b - din * dout
-            gtheta[o_w:o_b] = (r_a.T @ zs[li] + r_t.T @ tz[li]).ravel()
-            gtheta[o_b:o_end] = r_a.sum(axis=0)
-            o_end = o_w
+            w, (gw, gb), z = self.layers[li][0], grads[li], zs[li]
+            np.matmul(r[:batch].T, z[:batch], out=gw)
+            gw += r[batch:].T @ z[batch:]
+            # einsum is faster than sum, and equal to it but at one column
+            np.einsum("ij->j", r[:batch], out=gb) if len(gb) > 1 else r[:batch].sum(0, out=gb)
             if li == 0:
                 break
 
-            k = li - 1
-            r_z = np.matmul(r_a, w, out=ws["rz"][k])
-            r_tz = np.matmul(r_t, w, out=ws["rtz"][k]).reshape(d, batch, din)
-            spp = _deriv_over(np.maximum(avals[k], 0.0, out=ws["spp"][k]), s, 2)
-            prod = np.multiply(r_tz, ta[k].reshape(d, batch, din),
-                               out=ws["prod"][k].reshape(d, batch, din))
-            red = np.multiply(spp, np.sum(prod, axis=0, out=ws["red"][k]), out=ws["red"][k])
-            r_a = np.multiply(sps[k], r_z, out=r_z)
-            r_a += red
-            r_t = np.multiply(sps[k], r_tz, out=r_tz).reshape(d * batch, din)
-        gx = (r_a @ w)[:, :d].copy()
+            # the value and tangent cotangents of layer li's input, in one product
+            k, a = li - 1, avals[li - 1]
+            r_z = _product(r, w, batch, ws["r"][k])
+            stacked = (d + 1, batch, w.shape[1])
+            if s > 1:  # sigma'' vanishes at s = 1
+                # sigma'' times the sum over tangents of cotangent * pre-activation
+                prod = np.multiply(r_z[batch:], a[batch:], out=ws["prod"][k])
+                red = prod if d == 1 else np.sum(prod.reshape(d, batch, -1), 0, out=ws["red"][k])
+                spp = ws["spp"][k]  # from a itself at s = 2
+                red *= _power(a[:batch] if s == 2 else np.maximum(a[:batch], 0.0, out=spp),
+                              s - 2, s * (s - 1), out=spp)
+            np.multiply(r_z.reshape(stacked), sps[k], out=r_z.reshape(stacked))
+            if s > 1:
+                r_z[:batch] += red
+            r = r_z
+        gx = (r[:batch] @ w)[:, :d].copy()
         gx += lam_v * raw * etap
         gx += lam_div * (etap * cache["jdiag"] - 2.0 * raw)
         return gtheta, gx

@@ -186,12 +186,12 @@ def test_sweeps_build_one_workspace_per_block(monkeypatch, full_blocks, extra):
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     flow_forward(fm, np.full((rows, 2), 0.5))
     flow_forward(fm, np.full((rows, 2), 0.25))
-    assert [len(b["u"]) for b in built] == sorted({-(-rows // blocks), rows // blocks},
+    assert [b["rows"] for b in built] == sorted({-(-rows // blocks), rows // blocks},
                                                   reverse=True)
     built.clear()
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     log_density_with_gradient(fm, dn.uniform_density(2), np.full((rows, 2), 0.5))
-    assert [len(b["u"]) for b in built] == [rows, rows]
+    assert [b["rows"] for b in built] == [rows, rows]
 
 
 def test_adjoint_builds_buffers_once_per_batch_size(monkeypatch):
@@ -204,7 +204,7 @@ def test_adjoint_builds_buffers_once_per_batch_size(monkeypatch):
     for got, want in zip(second, first):
         np.testing.assert_array_equal(got, want)
     log_density_with_gradient(fm, dn.uniform_density(2), x[:5])
-    assert [len(b["u"]) for b in built] == [7, 7, 5, 5]
+    assert [b["rows"] for b in built] == [7, 7, 5, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +378,19 @@ def test_log_density_gradient_matches_fd():
             fd[i] += sign * np.sum(log_pushforward_density(fm_p, src, y)) / (2 * h)
     denom = max(np.max(np.abs(fd)), 1e-10)
     assert np.max(np.abs(grad - fd)) / denom < 1e-5
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 64, 256])
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_gradient_path_log_densities_are_bitwise_the_dense_ones(dim, batch):
+    # the gradient path reads its preimages from value-only evaluations and
+    # its divergences from the tangent caches of its reverse sweep; the
+    # dense log-density reads both from one stacked evaluation
+    fm = FlowMap(random_net(dim=dim, depth=2, width=16, seed=dim * batch), dim=dim, steps=4)
+    src = dn.product_density([dn.linear_tilt(0.5, 1.0)] * dim)
+    y = np.random.default_rng(batch).uniform(0.05, 0.95, size=(batch, dim))
+    np.testing.assert_array_equal(log_density_with_gradient(fm, src, y)[0],
+                                  log_pushforward_density(fm, src, y))
 
 
 def test_gradient_batch_linearity():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import mpmath as mp
@@ -109,6 +110,48 @@ def test_overflow_inside_a_layer_raises_without_a_warning(tangents):
     with pytest.raises(NumericalOverflowError) as err:
         net.forward_with_cache(np.array([[0.5]]), 0.5, need_tangents=tangents)
     assert err.value.layer == 2
+
+
+def test_tangent_overflow_raises_though_the_values_stay_finite():
+    # 4.2e43 weights: the values reach 7.5e307 at the output layer, whose
+    # tangent rows (about 2e308) overflow
+    arch = Architecture((2, 4, 4, 1), activation_power=2)
+    net = MlpVectorField(arch, theta=np.full(arch.param_count, 4.2e43))
+    x = np.array([[0.5]])
+    assert np.isfinite(net.forward(x, 0.0)).all()
+    calls = [lambda: net.forward_with_cache(x, 0.0, need_tangents=True),
+             lambda: net.divergence(x, 0.0), lambda: net.value_jacobian_divergence(x, 0.0)]
+    for call in calls:
+        with pytest.raises(NumericalOverflowError) as err:
+            call()
+        assert err.value.layer == 2
+
+
+def guarded_net(bias_edits):
+    """A small d = 1 field with the given (layer, unit, value) bias entries."""
+    arch = Architecture((2, 4, 4, 1), activation_power=2)
+    net = MlpVectorField(arch, rng=np.random.default_rng(31))
+    for layer, unit, value in bias_edits:
+        net.layers[layer][1][unit] = value
+    return net
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_overflow_names_the_first_of_two_non_finite_layers(tangents):
+    # an infinite layer-1 bias makes layers 1 and 2 non-finite
+    net = guarded_net([(1, 0, np.inf)])
+    with pytest.raises(NumericalOverflowError) as err:
+        net.forward_with_cache(np.array([[0.5], [0.25]]), 0.5, need_tangents=tangents)
+    assert err.value.layer == 1
+
+
+@pytest.mark.parametrize("tangents", [False, True])
+def test_negative_infinite_hidden_pre_activation_raises(tangents):
+    # ReLU maps -inf to 0, so every later layer stays finite
+    net = guarded_net([(0, 2, -np.inf)])
+    with pytest.raises(NumericalOverflowError) as err:
+        net.forward_with_cache(np.array([[0.5], [0.25]]), 0.5, need_tangents=tangents)
+    assert err.value.layer == 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +320,25 @@ def test_divergence_gradient_matches_fd():
         assert abs(gx_an[0, k] - fd) < 2e-5
 
 
-@pytest.mark.parametrize("power", [2, 3])
-@pytest.mark.parametrize("depth", [1, 3])
-@pytest.mark.parametrize("dim", [1, 2, 3])
+# (dim, depth, activation power); power 1 has sigma'' = 0
+JOINT_VJP_CASES = list(itertools.product([1, 2, 3], [1, 3], [1, 2, 3]))
+
+
+@pytest.mark.parametrize("dim, depth, power", JOINT_VJP_CASES)
 def test_joint_vjp_matches_fd_on_batches(dim, depth, power):
     # B > 1 with both cotangents: a sample/axis mix-up in the stacked
-    # (d*B, W) tangent rows shows in gtheta and in gx
-    batch, t = 5, 0.35
+    # ((d+1)*B, W) value and tangent rows shows in gtheta and in gx
+    check_joint_vjp(dim, depth, power, batch=5)
+
+
+@pytest.mark.parametrize("dim, depth, power", JOINT_VJP_CASES)
+def test_joint_vjp_matches_fd_on_one_row(dim, depth, power):
+    # one row goes through numpy's matrix-vector products
+    check_joint_vjp(dim, depth, power, batch=1)
+
+
+def check_joint_vjp(dim, depth, power, batch):
+    t = 0.35
     arch = hypothesis_architecture(dim, depth, 6, activation_power=power)
     seed = 100 * dim + 10 * depth + power + 1
     net = MlpVectorField(arch, rng=np.random.default_rng(seed))
@@ -318,6 +373,20 @@ def test_joint_vjp_matches_fd_on_batches(dim, depth, power):
 
     gx_fd = fd_gradient(lambda flat: loss(net, flat.reshape(batch, dim)), x.ravel())
     np.testing.assert_allclose(gx_an.ravel(), gx_fd, rtol=0, atol=1e-5 * np.max(np.abs(gx_fd)))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 7, 256])
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_stacked_value_rows_are_bitwise_the_value_only_evaluation(dim, batch):
+    # the BLAS picks its kernel by the shape, so the last bits of a product
+    # can depend on its row count (at width 32, or for one row): the value
+    # rows of a stacked block must not share a product with its tangents
+    for seed, width in itertools.product(range(3), [8, 16, 32]):
+        arch = hypothesis_architecture(dim, 2, width)
+        net = MlpVectorField(arch, rng=np.random.default_rng(seed))
+        x = np.random.default_rng(seed + 100).uniform(0.05, 0.95, size=(batch, dim))
+        np.testing.assert_array_equal(net.forward_with_cache(x, 0.3, need_tangents=True)[0],
+                                      net.forward(x, 0.3))
 
 
 def test_vjp_needs_a_tangent_cache():
