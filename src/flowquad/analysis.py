@@ -75,7 +75,7 @@ def reference_expectation(target, qoi):
     x = pts[:, 0]
     value = 1.0
     for f, p in zip(qoi.factors, target.factors, strict=True):
-        value *= float(np.dot(wt, f(x) * p.pdf(x)))
+        value *= math.fsum(wt * (f(x) * p.pdf(x)))
     return value
 
 
@@ -85,7 +85,7 @@ def pullback_integral_oracle(fm, qoi, source):
         raise UnsupportedDimensionError(
             f"dense oracle grid is limited to dim <= {DENSE_MAX_DIM}")
     pts, wt = tensor_gauss(fm.dim, REFERENCE_POINTS)
-    return float(np.dot(wt, qoi.evaluate(flow_forward(fm, pts)) * source.evaluate(pts)))
+    return math.fsum(wt * (qoi.evaluate(flow_forward(fm, pts)) * source.evaluate(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +124,11 @@ def _grid_densities(target, fm, source, points_per_axis):
 
 
 def _tv(wt, f_t, log_m):
-    return 0.5 * float(np.dot(wt, np.abs(f_t - np.exp(log_m))))
+    return 0.5 * math.fsum(wt * np.abs(f_t - np.exp(log_m)))
 
 
 def _kl(wt, f_t, log_m):
-    return float(np.dot(wt, f_t * (np.log(f_t) - log_m)))
+    return math.fsum(wt * (f_t * (np.log(f_t) - log_m)))
 
 
 def kl_estimate(target, fm, source, mode="grid", points_per_axis=65, samples=None):

@@ -2,11 +2,11 @@
 
 Univariate rules use the Chebyshev-extrema nodes on [-1, 1], mapped
 affinely to the requested interval.  Weights are solved from Chebyshev
-moment matching (closed-form moments for the uniform weight, reference
-quadrature for user densities), so every m-point rule integrates
-polynomials of degree < m exactly against its weight.  Moments are
-memoized on a digest of the density's values at the reference points,
-so equal densities on several axes, levels or calls share one solve.
+moment matching (closed-form moments for the uniform weight, the
+Chebyshev interpolant of a user density otherwise), so every m-point
+rule integrates polynomials of degree < m exactly against its weight.
+Both transforms are one FFT-based DCT-I, and no reduction calls BLAS, so
+a rule's bits do not depend on the BLAS thread count.
 
 Sparse grids combine tensor rules over the admissible multi-index band
 with alternating binomial coefficients.  Every nested node of a grid
@@ -19,7 +19,6 @@ Gauss-Legendre rule of the dense oracles) is built by tensor_product.
 """
 
 import functools
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,13 +28,8 @@ import numpy as np
 from .errors import EvaluationError, InvalidArgumentError, InvalidWeightError
 
 REFERENCE_POINTS = 129  # Gauss-Legendre points per axis of every dense reference
-_GAUSS_PANEL_ORDER = 8
-# the fixed panel rule on [-1, 1] that every weighted moment computation uses
-_GAUSS_PANEL_X, _GAUSS_PANEL_W = np.polynomial.legendre.leggauss(_GAUSS_PANEL_ORDER)
-# (m, panels, digest of a density on the probe grid) -> its m moments; a
-# memo of a pure function, small, and emptied whole when full
-_MOMENTS = {}
-_MOMENTS_SIZE = 64
+_CHEB_MAX_DEGREE = 4096  # largest interpolant degree of a weight
+_CHEB_TOL = 1e-14  # tail coefficients of a resolved weight, relative to the largest
 
 
 def _cos_pi_frac(num, den):
@@ -94,68 +88,53 @@ def cc_nodes(m, domain=(-1.0, 1.0)):
 def _uniform_chebyshev_moments(m):
     # integral of T_k over [-1, 1]: 0 for odd k, 2/(1-k^2) for even k
     mom = np.zeros(m)
-    for k in range(0, m, 2):
-        mom[k] = 2.0 / (1.0 - k * k)
+    k = np.arange(0, m, 2)
+    mom[::2] = 2.0 / (1.0 - k * k)
     return mom
 
 
-def _weighted_chebyshev_moments(weight, m, domain, panels):
-    """Moments of T_k against `weight` via composite Gauss-Legendre panels.
+def _dct1(v):
+    """(2/n) sum''_j v_j cos(pi j k / n), k = 0..n, halved at k = 0 and n.
 
-    `weight` is evaluated on every call; the moments are memoized on a
-    digest of its values on the probe grid.
+    One DCT-I through a real FFT of the even extension.  It maps values at
+    the n + 1 Chebyshev extrema cos(pi j / n) to Chebyshev coefficients,
+    and Chebyshev moments to the weights of those nodes.
+    """
+    n = len(v) - 1
+    out = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n
+    out[0] *= 0.5
+    out[n] *= 0.5
+    return out
+
+
+def _weighted_chebyshev_moments(weight, m, domain):
+    """Moments of T_k, k < m, against `weight` from its Chebyshev interpolant.
+
+    The weight is interpolated at N + 1 Chebyshev extrema, the interval
+    ends included, with N doubled from 16 until the last 8 coefficients
+    are at most _CHEB_TOL of the largest; a weight unresolved at
+    _CHEB_MAX_DEGREE raises InvalidWeightError.  T_j T_k = (T_{j+k} +
+    T_|j-k|) / 2 turns the coefficients into moments with the closed-form
+    integrals of T_n.
     """
     a, b = domain
-    edges = np.linspace(-1.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    pts = (mid[:, None] + half * _GAUSS_PANEL_X[None, :]).ravel()
-    wts = np.tile(half * _GAUSS_PANEL_W, panels)
-
-    x_phys = _affine_to((a, b), pts)
-    dens = np.broadcast_to(np.asarray(weight(x_phys), dtype=float), pts.shape)
-    if not (np.all(np.isfinite(dens)) and np.all(dens >= 0)):
-        raise InvalidWeightError("weight function is not finite and >= 0 on the probe grid")
-    # Jacobian of the affine map folds the physical density into [-1, 1].
-    dens = dens * (0.5 * (b - a))
-    key = (m, panels, hashlib.blake2b(dens).digest())
-    mom = _MOMENTS.get(key)
-    if mom is not None:
-        return mom.copy()
-
-    mom = np.empty(m)
-    t_prev = np.ones_like(pts)
-    t_curr = pts.copy()
-    mom[0] = np.dot(wts, dens)
-    if m > 1:
-        mom[1] = np.dot(wts, dens * t_curr)
-    for k in range(2, m):
-        t_prev, t_curr = t_curr, 2.0 * pts * t_curr - t_prev
-        mom[k] = np.dot(wts, dens * t_curr)
-    if len(_MOMENTS) >= _MOMENTS_SIZE:
-        _MOMENTS.clear()
-    _MOMENTS[key] = mom
-    return mom.copy()
-
-
-
-def _weights_from_moments(mom):
-    """Solve sum_j w_j T_k(xi_j) = mom_k on the Chebyshev-extrema nodes.
-
-    Closed form via DCT-I orthogonality; returns weights for nodes in
-    descending order cos(j*pi/n), j = 0..n.
-    """
-    m = len(mom)
-    n = m - 1
-    k = np.arange(m)
-    halved = mom.copy()
-    halved[0] *= 0.5
-    halved[n] *= 0.5
-    cos_table = np.cos(np.pi * np.outer(np.arange(m), k) / n)
-    w = (2.0 / n) * cos_table @ halved
-    w[0] *= 0.5
-    w[n] *= 0.5
-    return w
+    n = 16
+    while True:
+        x = cc_nodes(n + 1, (a, b))[::-1]  # cos(pi j / n), j = 0..n, mapped
+        dens = np.broadcast_to(np.asarray(weight(x), dtype=float), x.shape)
+        if not (np.all(np.isfinite(dens)) and np.all(dens >= 0)):
+            raise InvalidWeightError("weight function is not finite and >= 0 at the Chebyshev points")
+        # Jacobian of the affine map folds the physical density into [-1, 1].
+        coef = _dct1(dens * (0.5 * (b - a)))
+        if np.all(np.abs(coef[-8:]) <= _CHEB_TOL * np.abs(coef).max()):
+            break
+        if n >= _CHEB_MAX_DEGREE:
+            raise InvalidWeightError(
+                f"weight function is not resolved by a degree-{n} Chebyshev interpolant")
+        n *= 2
+    integrals = _uniform_chebyshev_moments(n + m)
+    j, k = np.arange(n + 1)[:, None], np.arange(m)[None, :]
+    return 0.5 * np.einsum("j,jk->k", coef, integrals[j + k] + integrals[abs(j - k)])
 
 
 def cc_weights(m, domain=(-1.0, 1.0), weight=None):
@@ -172,10 +151,10 @@ def cc_weights(m, domain=(-1.0, 1.0), weight=None):
     if weight is None:
         mom = _uniform_chebyshev_moments(m) * (0.5 * (b - a))
     else:
-        mom = _weighted_chebyshev_moments(weight, m, (a, b), panels=64 * m)
+        mom = _weighted_chebyshev_moments(weight, m, (a, b))
     if m == 1:  # the midpoint carries the whole mass
         return mom
-    return _weights_from_moments(mom)[::-1].copy()  # nodes are reported ascending
+    return _dct1(mom)[::-1].copy()  # weights of cos(pi j / n); nodes are reported ascending
 
 
 @dataclass(frozen=True)

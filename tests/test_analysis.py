@@ -94,12 +94,12 @@ def test_reference_matches_dense_sum(dim):
         q = an.make_qoi(family, dim)
         terms = q.evaluate(pts) * dens
         got = an.reference_expectation(target, q)
+        # both sides are exactly rounded sums: equal at d = 1, and a product
+        # of d rounded 1-D sums at d >= 2
+        dense = math.fsum(wt * terms)
         if dim == 1:
-            assert got == float(np.dot(wt, terms))
+            assert got == dense
         else:
-            # the dense dot product strays up to ~13 ulps at 129^3 terms, so
-            # compare with the same terms summed without rounding error
-            dense = math.fsum(wt * terms)
             assert abs(got - dense) <= 4 * math.ulp(dense)
 
 

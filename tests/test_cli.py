@@ -217,14 +217,41 @@ def test_cli_calc_exit_ok():
     assert cli.main(["calc", "schedule", "n=1e6", "beta=0.25"]) == 0
 
 
-def _python(args, tmp_path, timeout=300):
-    """Run `python args` in a fresh process that imports this flowquad."""
+def _python(args, tmp_path, timeout=300, **env_vars):
+    """Run `python args` in a fresh process that imports this flowquad,
+    with `env_vars` added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(flowquad.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, **env_vars, "PYTHONPATH": path}
     return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=timeout)
 
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the run2d benchmark targets, small enough for a test
+    spec = write_spec(tmp_path, spec_payload(
+        dim=2,
+        target={"per_axis": [{"family": "linear_tilt", "params": {"a": 0, "b": 2}},
+                             {"family": "cosine_bump", "params": {"amp": 0.5}}]},
+        qoi={"family": "cos_product"},
+        grid={"levels": [2, 4, 6]},
+        training={"sample_size": 300, "max_epochs": 2, "integrator_steps": 4},
+    ))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        for args in (["grid", "--spec", spec, "--out", str(out / "grid"), "--levels", "4..6"],
+                     ["run", "--spec", spec, "--out", str(out / "run")]):
+            done = _python(["-m", "flowquad.cli", *args], tmp_path,
+                           OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+        outputs.append({str(p.relative_to(out)): p.read_bytes()
+                        for p in out.rglob("*") if p.is_file()})
+    assert sorted(outputs[0]) == sorted(outputs[1])
+    assert len(outputs[0]) == 3 + 3  # three grid files; results, table and checkpoint
+    for name, data in outputs[0].items():
+        assert outputs[1][name] == data, name
 
 _FOOTPRINT = """
 import sys

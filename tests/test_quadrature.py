@@ -377,45 +377,68 @@ def test_smolyak_bitwise_equals_dict_assembly(dim, level, weights, domain):
     assert grid.combination_terms == terms
 
 
-def _tilt_closure(c):
-    return lambda x: 1.0 + c * (x - 0.5)
-
-
-def test_moments_are_memoized_on_density_values():
-    slopes = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    fresh = []
-    for c in slopes:
-        quad._MOMENTS.clear()
-        fresh.append(quad.cc_weights(5, (0.0, 1.0), _tilt_closure(c)))
-    for _ in range(2):  # the second pass reads every rule from the memo
-        for c, w in zip(slopes, fresh):
-            np.testing.assert_array_equal(quad.cc_rule(5, (0.0, 1.0), _tilt_closure(c)).weights, w)
-    assert len({w.tobytes() for w in fresh}) == len(slopes)
-
-
-def test_equal_densities_share_one_solve_and_are_evaluated_every_call():
+def test_weight_is_evaluated_on_every_call_into_fresh_weights():
     calls = []
 
     def density(x):
         calls.append(len(x))
         return np.exp(x)
 
-    quad._MOMENTS.clear()
-    grid = quad.smolyak(6, 3, weights=[density] + [_tilt_closure(1.0) for _ in range(5)])
-    assert len(calls) == 4  # one evaluation per level for the first axis
-    # the five equal closures share one solve per level with each other
-    assert len(quad._MOMENTS) == 2 * 4
-    again = quad.smolyak(6, 3, weights=[density] + [_tilt_closure(1.0) for _ in range(5)])
-    assert len(calls) == 8 and len(quad._MOMENTS) == 2 * 4
-    np.testing.assert_array_equal(again.weights, grid.weights)
+    for m in (1, 5):  # the 1-point weight is the moment itself
+        first = quad.cc_weights(m, (0.0, 1.0), density)
+        expected, evaluations = first.copy(), len(calls)
+        first[0] = -1.0
+        np.testing.assert_array_equal(quad.cc_weights(m, (0.0, 1.0), density), expected)
+        assert len(calls) == 2 * evaluations
+        calls.clear()
+    grid = quad.smolyak(6, 3, weights=[density] + [lambda x: 1.0 + (x - 0.5)] * 5)
+    np.testing.assert_array_equal(quad.smolyak(6, 3, weights=[density] + [
+        lambda x: 1.0 + (x - 0.5)] * 5).weights, grid.weights)
 
 
-def test_memoized_moments_are_not_shared_with_callers():
-    quad._MOMENTS.clear()
-    first = quad.cc_weights(1, (0.0, 1.0), np.exp)  # the 1-point weight is the moment itself
-    expected = first.copy()
-    first[0] = -1.0
-    np.testing.assert_array_equal(quad.cc_weights(1, (0.0, 1.0), np.exp), expected)
+def _integrals_of_chebyshev(n):
+    """Integrals of T_0..T_{n-1} over [-1, 1]."""
+    return np.array([2.0 / (1.0 - k * k) if k % 2 == 0 else 0.0 for k in range(n)])
+
+
+def _tilt_moments(a, b, m):
+    # a + b x on [0, 1] is (a + b/2 + (b/2) xi) / 2 on [-1, 1], and xi T_k = (T_{k+1} + T_|k-1|) / 2
+    i, k = _integrals_of_chebyshev(m + 1), np.arange(m)
+    return 0.5 * ((a + 0.5 * b) * i[:m] + 0.25 * b * (i[k + 1] + i[abs(k - 1)]))
+
+
+def _quad_moments(pdf, m):
+    from scipy.integrate import quad as scipy_quad
+
+    # x = (1 + cos t) / 2 makes each integrand smooth and periodic on [0, pi]
+    return [scipy_quad(lambda t: pdf(0.5 + 0.5 * math.cos(t)) * math.cos(k * t) * 0.5 * math.sin(t),
+                       0.0, math.pi, limit=1000, epsabs=1e-13, epsrel=0)[0]
+            for k in range(m)]
+
+
+@pytest.mark.parametrize(
+    "pdf, m, reference, tol",
+    [pytest.param(dn.uniform1d().pdf, m, lambda m: _tilt_moments(1.0, 0.0, m), 2e-15,
+                  id=f"uniform-m{m}") for m in (33, 65, 257)]
+    + [pytest.param(lambda x: 0.4 + 1.2 * x, m, lambda m: _tilt_moments(0.4, 1.2, m), 2e-15,
+                    id=f"tilt-m{m}") for m in (33, 65, 257)]
+    + [pytest.param(dn.cosine_bump(0.5, freq=f).pdf, 33, None, 1e-11, id=f"bump-freq{f}")
+       for f in (1, 40, 160, 320)],
+)
+def test_weighted_moments_match_closed_forms_and_quad(pdf, m, reference, tol):
+    got = quad._weighted_chebyshev_moments(pdf, m, (0.0, 1.0))
+    want = reference(m) if reference else _quad_moments(pdf, m)
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+def test_weight_with_a_jump_is_rejected():
+    def weight(x):
+        return np.where(x < 0.3, 1.0, 2.0)
+
+    with pytest.raises(InvalidWeightError, match="not resolved"):
+        quad.cc_weights(5, (0.0, 1.0), weight=weight)
+    with pytest.raises(InvalidWeightError):
+        quad.smolyak(2, 2, weights=weight)
 
 
 def test_node_count_asymptotic_values():
