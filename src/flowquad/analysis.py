@@ -99,9 +99,9 @@ def integrate_via_flow(grid, fm, qoi, threads=1):
     Node images come from `fm.images`: only nodes this flow map has not
     pushed under its current parameters are integrated, in one batch, so
     the nested levels of a sweep and further QoIs on the same grid reuse
-    earlier images.  The weighted reduction is compensated and
-    fixed-order.  `threads` accepts only 1, so callers that pass it keep
-    working.
+    earlier images.  The weighted reduction is exactly rounded, so it does
+    not depend on node order.  `threads` accepts only 1, so callers that
+    pass it keep working.
     """
     if threads != 1:
         raise InvalidArgumentError(f"threads must be 1, got {threads!r}")

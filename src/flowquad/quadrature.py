@@ -346,19 +346,13 @@ def node_count_asymptotic(dim, level):
 
 
 def kahan_sum(values):
-    """Compensated summation in fixed order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    """Exactly rounded sum (`math.fsum`), so it does not depend on the order
+    of `values`."""
+    return math.fsum(values)
 
 
 def apply(grid, f, vectorized=False):
-    """Evaluate sum_j w_j f(xi_j) with compensated summation.
+    """Evaluate sum_j w_j f(xi_j), exactly rounded.
 
     With vectorized=True, f maps an (M, d) array to an (M,) array.
     Non-finite integrand values raise EvaluationError with the node index.

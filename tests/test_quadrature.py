@@ -486,6 +486,20 @@ def test_apply_vectorized_matches_scalar():
     assert abs(quad.apply(grid, f_scalar) - quad.apply(grid, f_vec, vectorized=True)) < 1e-13
 
 
+def test_apply_does_not_depend_on_node_order():
+    # terms from 1 to e^120 with mixed-sign weights: compensated summation
+    # gave different last bits for different orders
+    grid = quad.smolyak(3, 5)
+    rng = np.random.default_rng(0)
+    sums = set()
+    for _ in range(20):
+        order = rng.permutation(grid.node_count)
+        shuffled = quad.SparseGrid(dim=3, level=5, nodes=grid.nodes[order],
+                                   weights=grid.weights[order], combination_terms=())
+        sums.add(quad.apply(shuffled, lambda x: np.exp(40.0 * x).prod(axis=1), vectorized=True))
+    assert len(sums) == 1, sums
+
+
 def test_apply_nonfinite_reports_node():
     grid = quad.smolyak(2, 1)
     bad = 3
