@@ -32,6 +32,7 @@ from .errors import (
     FlowQuadError,
     IntegrationFailureError,
     InvalidArgumentError,
+    InvalidWeightError,
     TrainingFailureError,
 )
 from .flow import FlowMap
@@ -277,6 +278,9 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     transport = KrTransport(source, target)
+    # before training, so a source density no rule can take fails first
+    weights = [f.pdf for f in source.factors]
+    grids = [quad.smolyak(spec.dim, level, weights=weights) for level in spec.grid["levels"]]
 
     config = _train_config(spec.training, seed)
     samples = transport.kr_map_batch(rng.uniform(size=(config.sample_size, spec.dim)))
@@ -293,11 +297,9 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     else:
         tv, kl = math.nan, math.nan
 
-    weights = [f.pdf for f in source.factors]
     oracle = an.pullback_integral_oracle(fm, qoi, source)
     reports = []
-    for level in spec.grid["levels"]:
-        grid = quad.smolyak(spec.dim, level, weights=weights)
+    for level, grid in zip(spec.grid["levels"], grids):
         estimate = an.integrate_via_flow(grid, fm, qoi)
         reports.append(
             an.ErrorReport(
@@ -512,7 +514,8 @@ def main(argv=None):
             cmd_calc(args.kind, _parse_kv(args.params))
         elif args.command == "report":
             cmd_report(args.results, csv_path=args.csv)
-    except ConfigurationError as exc:
+    # grid and run weight their rules with the spec's source density only
+    except (ConfigurationError, InvalidWeightError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIGURATION
     except TrainingFailureError as exc:

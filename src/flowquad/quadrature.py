@@ -123,7 +123,8 @@ def _weighted_chebyshev_moments(weight, m, domain):
         x = cc_nodes(n + 1, (a, b))[::-1]  # cos(pi j / n), j = 0..n, mapped
         dens = np.broadcast_to(np.asarray(weight(x), dtype=float), x.shape)
         if not (np.all(np.isfinite(dens)) and np.all(dens >= 0)):
-            raise InvalidWeightError("weight function is not finite and >= 0 at the Chebyshev points")
+            raise InvalidWeightError(
+                "weight function is not finite and >= 0 at the Chebyshev points")
         # Jacobian of the affine map folds the physical density into [-1, 1].
         coef = _dct1(dens * (0.5 * (b - a)))
         if np.all(np.abs(coef[-8:]) <= _CHEB_TOL * np.abs(coef).max()):

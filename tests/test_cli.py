@@ -227,7 +227,6 @@ def _python(args, tmp_path, timeout=300, **env_vars):
                           capture_output=True, text=True, timeout=timeout)
 
 
-
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the run2d benchmark targets, small enough for a test
     spec = write_spec(tmp_path, spec_payload(
@@ -252,6 +251,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert len(outputs[0]) == 3 + 3  # three grid files; results, table and checkpoint
     for name, data in outputs[0].items():
         assert outputs[1][name] == data, name
+
 
 _FOOTPRINT = """
 import sys
@@ -460,6 +460,10 @@ def _report_of(text):
         pytest.param(_run_with("target", value={"family": "linear_tilt",
                                                 "params": {"a": 1.7e308, "b": 1.7e308}}),
                      id="density-mass-overflows"),
+        # no Chebyshev interpolant of degree <= 4,096 resolves it as a rule weight
+        pytest.param(_run_with("source", value={"family": "cosine_bump",
+                                                "params": {"amp": 0.5, "freq": 5000}}),
+                     id="source-not-resolved"),
         pytest.param(_run_with("target", value={"family": "cosine_bump", "params": {
             "amp": -0.1078, "freq": 3.37e-267, "phase": -0.1078}}), id="density-mass-cancels"),
         pytest.param(_run_with("training", value={"adaptive": True, "width": 64,

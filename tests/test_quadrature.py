@@ -391,9 +391,9 @@ def test_weight_is_evaluated_on_every_call_into_fresh_weights():
         np.testing.assert_array_equal(quad.cc_weights(m, (0.0, 1.0), density), expected)
         assert len(calls) == 2 * evaluations
         calls.clear()
-    grid = quad.smolyak(6, 3, weights=[density] + [lambda x: 1.0 + (x - 0.5)] * 5)
-    np.testing.assert_array_equal(quad.smolyak(6, 3, weights=[density] + [
-        lambda x: 1.0 + (x - 0.5)] * 5).weights, grid.weights)
+    weights = [density] + [lambda x: 1.0 + (x - 0.5)] * 5
+    np.testing.assert_array_equal(quad.smolyak(6, 3, weights=weights).weights,
+                                  quad.smolyak(6, 3, weights=weights).weights)
 
 
 def _integrals_of_chebyshev(n):
