@@ -274,13 +274,13 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     target = _density_from_spec(spec.target, spec.dim)
     qoi = an.make_qoi(spec.qoi["family"], spec.dim, spec.qoi.get("params"))
     reference = an.reference_expectation(target, qoi)
+    # before any output or training, so a source density no rule can take fails first
+    weights = [f.pdf for f in source.factors]
+    grids = [quad.smolyak(spec.dim, level, weights=weights) for level in spec.grid["levels"]]
     out_dir = _ensure_outdir(out_dir)
     seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     transport = KrTransport(source, target)
-    # before training, so a source density no rule can take fails first
-    weights = [f.pdf for f in source.factors]
-    grids = [quad.smolyak(spec.dim, level, weights=weights) for level in spec.grid["levels"]]
 
     config = _train_config(spec.training, seed)
     samples = transport.kr_map_batch(rng.uniform(size=(config.sample_size, spec.dim)))
