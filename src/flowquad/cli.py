@@ -238,13 +238,14 @@ def _ensure_outdir(path):
 
 
 def cmd_grid(spec, out_dir, print_fn=print):
-    out_dir = _ensure_outdir(out_dir)
     source = _density_from_spec(spec.source, spec.dim)
     weights = [f.pdf for f in source.factors]
+    # before any output, so a source density no rule can take leaves none
+    grids = [quad.smolyak(spec.dim, level, weights=weights) for level in spec.grid["levels"]]
+    out_dir = _ensure_outdir(out_dir)
     print_fn(f"{'level':>5} {'nodes':>8} {'asymptotic':>12} {'file'}")
     files = []
-    for level in spec.grid["levels"]:
-        grid = quad.smolyak(spec.dim, level, weights=weights)
+    for level, grid in zip(spec.grid["levels"], grids):
         path = os.path.join(out_dir, f"grid_d{spec.dim}_l{level}.txt")
         with _replaced_on_success(path) as tmp:
             quad.write_grid(grid, tmp)

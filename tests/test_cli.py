@@ -117,6 +117,17 @@ def test_cli_grid_exit_codes(tmp_path):
     assert cli.main(["grid", "--spec", bad_file, "--out", str(tmp_path / "g")]) == 2
 
 
+def test_grid_with_an_unresolved_source_writes_nothing(tmp_path, capsys):
+    # no Chebyshev interpolant of degree <= 4,096 resolves this source as a
+    # rule weight: every grid is built before the directory or the table
+    source = {"family": "cosine_bump", "params": {"amp": 0.5, "freq": 5000}}
+    spec_file = write_spec(tmp_path, spec_payload(source=source))
+    assert cli.main(["grid", "--spec", spec_file, "--out", str(tmp_path / "g")]) == 2
+    assert not (tmp_path / "g").exists()
+    out = capsys.readouterr().out
+    assert "asymptotic" not in out and out == ""
+
+
 @pytest.mark.parametrize("dim", [1500, 6000])
 def test_grid_at_large_dim_level_0_is_the_center(tmp_path, capsys, dim):
     # one composition of `dim` parts: deeper than Python's recursion limit,
