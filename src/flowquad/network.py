@@ -142,10 +142,10 @@ class MlpVectorField:
     independent copy whose parameters and buffers are apart from this one's.
 
     Evaluations write into buffers the field keeps, one set per tangent
-    flag, rebuilt when the row count changes.  Returned arrays are fresh,
-    but a `forward_with_cache` cache aliases the buffers until this field's
-    next evaluation (its `vjp` is not one), so no two threads may evaluate
-    one field at once.
+    flag, which grows to the largest row count so far.  Returned arrays are
+    fresh, but a `forward_with_cache` cache aliases the buffers until this
+    field's next evaluation (its `vjp` is not one), so no two threads may
+    evaluate one field at once.
     """
 
     def __init__(self, arch, theta=None, rng=None):
@@ -192,28 +192,38 @@ class MlpVectorField:
     # -- scratch buffers ---------------------------------------------------
 
     def _buffers(self, rows, tangents):
-        """The kept buffer set of this tangent flag, rebuilt unless it has
-        `rows` rows.  Each layer's input z and pre-activation a is one block:
-        the value rows, then with tangents tangent 1, ..., tangent d (row
-        k*rows + b is tangent k of sample b).  The pre-activations of all
-        layers share one flat buffer.  With tangents the set also holds
-        sigma' of each hidden layer and the reverse pass's temporaries; a
-        vjp writes only buffers its cache does not read."""
+        """The kept buffer set of this tangent flag, laid out for `rows` rows.
+
+        A set only grows: it is built when `rows` exceeds every row count
+        before it, and otherwise hands out views of the first entries of
+        its storage.  Each layer's input z and pre-activation a is one
+        block: the value rows, then with tangents tangent 1, ..., tangent d
+        (row k*rows + b is tangent k of sample b).  The pre-activations of
+        all layers are one flat buffer, `flat`, which covers this layout
+        only.  With tangents the set also holds sigma' of each hidden layer
+        and the reverse pass's buffers: the cotangent r of each layer's
+        output, which the parameter gradient reads, and temporaries; a vjp
+        writes only buffers its cache does not read."""
         ws = self._scratch[tangents]
         if ws is not None and ws["rows"] == rows:
             return ws
         d, widths, hidden = self.dim, self.arch.widths, self.arch.widths[1:-1]
         k = d + 1 if tangents else 1
-        flat = np.empty(k * rows * sum(widths[1:]))
-        ends = np.cumsum([k * rows * w for w in widths[1:]])
-        a = [v.reshape(k * rows, w) for v, w in zip(np.split(flat, ends[:-1]), widths[1:])]
-        z = [np.empty((k * rows, w)) for w in widths[:-1]]
-        ws = {"rows": rows, "flat": flat, "a": a, "z": z}
+        layout = {"a": (k, widths[1:]), "z": (k, widths[:-1])}
         if tangents:
-            z[0][rows:] = np.repeat(np.eye(d + 1)[:d], rows, axis=0)  # unit input tangents
-            for key, n in ("sp", 1), ("r", k), ("prod", d), ("red", 1), ("spp", 1):
-                ws[key] = [np.empty((n * rows, w)) for w in hidden]
-        self._scratch[tangents] = ws
+            layout.update(sp=(1, hidden), r=(k, widths[1:]), prod=(d, hidden),
+                          red=(1, hidden), spp=(1, hidden))
+        if ws is None or ws["capacity"] < rows:
+            ws = {"capacity": rows, "storage": {
+                key: np.empty(n * rows * sum(cols)) for key, (n, cols) in layout.items()}}
+            self._scratch[tangents] = ws
+        for key, (n, cols) in layout.items():
+            ends = np.cumsum([n * rows * w for w in cols])
+            parts = np.split(ws["storage"][key][: n * rows * sum(cols)], ends[:-1])
+            ws[key] = [v.reshape(n * rows, w) for v, w in zip(parts, cols)]
+        ws["rows"], ws["flat"] = rows, ws["storage"]["a"][: k * rows * sum(widths[1:])]
+        if tangents:
+            ws["z"][0][rows:] = np.repeat(np.eye(d + 1)[:d], rows, axis=0)  # unit input tangents
         return ws
 
     # -- forward -----------------------------------------------------------

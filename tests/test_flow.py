@@ -163,7 +163,7 @@ def test_blocked_sweeps_equal_one_block(monkeypatch):
 
 
 def counting_buffers(monkeypatch):
-    """Row counts of the network buffer sets built from now on, in order."""
+    """The network buffer sets built from now on, in order."""
     built, fetch = [], MlpVectorField._buffers
 
     def counting(net, rows, tangents):
@@ -178,33 +178,41 @@ def counting_buffers(monkeypatch):
 
 @pytest.mark.parametrize("full_blocks, extra", [(0, 1), (0, 5), (2, 1)])
 def test_sweeps_build_one_workspace_per_block(monkeypatch, full_blocks, extra):
-    # the network keeps one buffer set per tangent flag, so a sweep builds
-    # one per distinct block size (2,049 rows are three 683-row blocks)
+    # the network keeps one buffer set per tangent flag, which only grows:
+    # a sweep builds it for its first block, the largest (2,049 rows are
+    # blocks of 683 rows), and the adjoint for its batch
     rows = full_blocks * flow.SWEEP_BLOCK_ROWS + extra
     blocks = -(-rows // flow.SWEEP_BLOCK_ROWS)
     built = counting_buffers(monkeypatch)
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     flow_forward(fm, np.full((rows, 2), 0.5))
     flow_forward(fm, np.full((rows, 2), 0.25))
-    assert [b["rows"] for b in built] == sorted({-(-rows // blocks), rows // blocks},
-                                                  reverse=True)
+    assert [b["capacity"] for b in built] == [-(-rows // blocks)]
     built.clear()
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     log_density_with_gradient(fm, dn.uniform_density(2), np.full((rows, 2), 0.5))
-    assert [b["rows"] for b in built] == [rows, rows]
+    assert [b["capacity"] for b in built] == [rows, rows]
 
 
 def test_adjoint_builds_buffers_once_per_batch_size(monkeypatch):
+    # a smaller batch reuses the sets of a larger one; a larger one builds
+    # them anew
     built = counting_buffers(monkeypatch)
     fm = FlowMap(random_net(seed=10), dim=2, steps=4)
-    x = np.random.default_rng(11).uniform(0.1, 0.9, size=(7, 2))
-    first = log_density_with_gradient(fm, dn.uniform_density(2), x)
-    second = log_density_with_gradient(fm, dn.uniform_density(2), x)
+    x = np.random.default_rng(11).uniform(0.1, 0.9, size=(9, 2))
+    first = log_density_with_gradient(fm, dn.uniform_density(2), x[:7])
+    second = log_density_with_gradient(fm, dn.uniform_density(2), x[:7])
     assert len(built) == 2  # one value and one tangent set
     for got, want in zip(second, first):
         np.testing.assert_array_equal(got, want)
-    log_density_with_gradient(fm, dn.uniform_density(2), x[:5])
-    assert [b["rows"] for b in built] == [7, 7, 5, 5]
+    smaller = log_density_with_gradient(fm, dn.uniform_density(2), x[:5])
+    assert [b["capacity"] for b in built] == [7, 7]
+    fresh = FlowMap(random_net(seed=10), dim=2, steps=4)
+    for got, want in zip(smaller, log_density_with_gradient(fresh, dn.uniform_density(2), x[:5])):
+        np.testing.assert_array_equal(got, want)
+    del built[2:]  # the fresh field's
+    log_density_with_gradient(fm, dn.uniform_density(2), x)
+    assert [b["capacity"] for b in built] == [7, 7, 9, 9]
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,32 @@ def test_negative_infinite_hidden_pre_activation_raises(tangents):
     assert err.value.layer == 0
 
 
+@pytest.mark.parametrize("tangents", [False, True])
+def test_a_stale_non_finite_value_of_a_larger_call_never_raises(tangents):
+    # the 3-row call leaves non-finite pre-activations past the part of the
+    # grow-only buffers that a 2-row call lays out and checks
+    net = guarded_net([])
+    x = np.array([[0.5], [0.25], [1e200]])
+    with pytest.raises(NumericalOverflowError):
+        net.forward_with_cache(x, 0.5, need_tangents=tangents)
+    got = net.forward_with_cache(x[:2], 0.5, need_tangents=tangents)
+    want = net.clone().forward_with_cache(x[:2], 0.5, need_tangents=tangents)
+    np.testing.assert_array_equal(got[0], want[0])
+    if tangents:
+        np.testing.assert_array_equal(got[1]["div"], want[1]["div"])
+
+
+def test_a_smaller_call_reuses_the_buffers_of_a_larger_one():
+    net = small_net(3, 2, 8, seed=27)
+    x = np.random.default_rng(28).uniform(size=(7, 3))
+    net.value_jacobian_divergence(x, 0.2)
+    buffers = net._buffers(7, True)
+    for got, want in zip(net.value_jacobian_divergence(x[:3], 0.6),
+                         net.clone().value_jacobian_divergence(x[:3], 0.6)):
+        np.testing.assert_array_equal(got, want)
+    assert net._buffers(3, True) is buffers and buffers["capacity"] == 7
+
+
 # ---------------------------------------------------------------------------
 # reverse mode
 # ---------------------------------------------------------------------------
