@@ -113,13 +113,14 @@ def _rk4(rhs, y, steps, stages=None, excursion=False):
     alongside the state (pass 0.0 where it is not needed).  Returns the
     final state clamped to the cube, the divergence integral and, with
     `excursion`, the largest exit distance from the cube (else 0.0); when
-    `stages` is a list, the four stage inputs of every step are appended
-    to it in order.
+    `stages` is an array of 4*steps states, the four stage inputs of every
+    step are written into it in order.
     """
+    slots = None if stages is None else iter(stages)
 
     def stage(u, s):
-        if stages is not None:
-            stages.append(u)
+        if slots is not None:
+            next(slots)[...] = u
         return rhs(u, s)
 
     acc = np.zeros(len(y))
@@ -218,7 +219,12 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     weighted sum.
 
     The gradient is the exact reverse-mode derivative of the discrete RK4
-    computation, accumulated stage by stage with recomputed caches.
+    computation, accumulated step by step with recomputed caches.  The
+    four stages of a step are recomputed in one call of 4B rows when they
+    fit in a sweep block (4B <= SWEEP_BLOCK_ROWS), and one at a time
+    otherwise or at B = 1: a 1-row product takes another BLAS path than a
+    4-row one, so its divergences would differ in the last bits from those
+    of log_pushforward_density.
     Requires the field to expose forward_with_cache/vjp (a network field)
     and the source to expose grad_log_pdf.
     """
@@ -232,35 +238,50 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     c = np.asarray(sample_weights, dtype=float).reshape(batch, 1)
 
     h = 1.0 / fm.steps
-    stages = []  # four stage inputs per step of the value-only forward sweep
-    z0 = _rk4(lambda u, s: (-net(u, 1.0 - s), 0.0), w, fm.steps, stages)[0]
+    # the stage inputs of the value-only forward sweep, step by step, and
+    # their times (stage s, s + h/2, s + h/2, s + h of the backward flow)
+    stages = np.empty((fm.steps, 4, batch, fm.dim))
+    z0 = _rk4(lambda u, s: (-net(u, 1.0 - s), 0.0), w, fm.steps,
+              stages.reshape(4 * fm.steps, batch, fm.dim))[0]
+    times = 1.0 - (np.arange(fm.steps)[:, None] * h + np.array([0.0, 0.5 * h, 0.5 * h, h]))
     log_source = _log_source(source, z0)
 
+    grouped = batch >= 2 and 4 * batch <= SWEEP_BLOCK_ROWS
+    if grouped:  # a step's stages as one block of 4B rows, each with its time
+        step_rows = stages.reshape(fm.steps, 4 * batch, fm.dim)
+        step_times = np.repeat(times, batch, axis=1)
+
     # reverse sweep: lam tracks the cotangent on the running position,
-    # the divergence integral contributes a constant -c per sample
+    # the divergence integral contributes a constant -c per sample.  Stage j
+    # of a step weighs h * (1, 2, 2, 1)[j] / 6 into the update and feeds
+    # stage j + 1 through (h/2, h/2, h)[j] times its slope
     lam = c * source.grad_log_pdf(z0)
     lam_d = -c.ravel()
+    weight = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
+    feed = (0.5 * h, 0.5 * h, h)
+    lam_div = [wt * lam_d for wt in weight]
     grad = np.zeros_like(net.theta)
-    divs = [None] * (4 * fm.steps)  # read from the reverse sweep's tangent caches
-
-    def stage_vjp(i, s_stage, alpha, delta):
-        _, cache = net.forward_with_cache(stages[i], 1.0 - s_stage, need_tangents=True)
-        divs[i] = cache["div"]  # a fresh array, not a network buffer
-        return net.vjp(cache, lam_v=-alpha, lam_div=delta)
+    divs = np.empty((fm.steps, 4, batch))  # from the reverse sweep's tangent caches
 
     for n in range(fm.steps - 1, -1, -1):
-        s, i = n * h, 4 * n
-        g4, gu4 = stage_vjp(i + 3, s + h, (h / 6.0) * lam, (h / 6.0) * lam_d)
-        g3, gu3 = stage_vjp(i + 2, s + 0.5 * h, (h / 3.0) * lam + h * gu4, (h / 3.0) * lam_d)
-        g2, gu2 = stage_vjp(i + 1, s + 0.5 * h, (h / 3.0) * lam + 0.5 * h * gu3, (h / 3.0) * lam_d)
-        g1, gu1 = stage_vjp(i, s, (h / 6.0) * lam + 0.5 * h * gu2, (h / 6.0) * lam_d)
-        lam = lam + gu1 + gu2 + gu3 + gu4
-        grad += g1 + g2 + g3 + g4
+        if grouped:
+            _, cache = net.forward_with_cache(step_rows[n], step_times[n], need_tangents=True)
+            divs[n] = cache["div"].reshape(4, batch)
+        gu = [None] * 4
+        for j in (3, 2, 1, 0):
+            alpha = weight[j] * lam if j == 3 else weight[j] * lam + feed[j] * gu[j + 1]
+            if not grouped:
+                _, cache = net.forward_with_cache(stages[n, j], times[n, j], need_tangents=True)
+                divs[n, j] = cache["div"]
+            g, gu[j] = net.vjp(cache, lam_v=-alpha, lam_div=lam_div[j],
+                               group=j if grouped else 0)
+            if g is not None:
+                grad += g
+        lam = lam + gu[0] + gu[1] + gu[2] + gu[3]
 
     # the divergence integral in forward step order, summed as _rk4 sums it
     acc = np.zeros(batch)
-    for n in range(fm.steps):
-        d1, d2, d3, d4 = divs[4 * n : 4 * n + 4]
+    for d1, d2, d3, d4 in divs:
         acc = acc + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     logp = log_source - acc
 

@@ -14,14 +14,17 @@ Differentiation is hand-rolled over the fixed layer graph:
 B points and their d tangents travel as one ((d+1)*B, W) block per layer
 (row k*B + b is tangent k of sample b; k = 0 is its value), so the
 elementwise work of a layer runs once, and the reverse pass gets value and
-tangent cotangents from one product with w.  Forward products give the
+tangent cotangents from one call with w.  Forward products give the
 value rows a product of their own, since a BLAS picks its kernel by shape
 and more rows could round them otherwise than a value-only call does.
 They take a contiguous copy of w.T (NN), which OpenBLAS runs 1.5-2.5x
 faster than the view w.T (NT) here.  The pre-activations of a call share
 one flat buffer with one finite check.  Only value_jacobian_divergence
-assembles the d x d Jacobian.  The adjoint recomputes each stage's forward
-cache instead of keeping it.
+assembles the d x d Jacobian.  The adjoint recomputes forward caches
+instead of keeping them, up to the four stages of an RK4 step in one cache
+of stacked row groups: vjp runs the reverse pass of one group down to the
+input, and forms the parameter gradient of all groups with one product per
+layer once the last group is done.
 
 Every layer-sized intermediate is written with out= into buffers the field
 owns (see MlpVectorField); fresh buffers above glibc's mmap threshold were
@@ -112,18 +115,6 @@ def _power(r, e, c, out):
         np.square(r, out=out) if e == 2 else np.power(r, e, out=out)
     if c > 1:
         out *= c
-    return out
-
-
-def _product(x, w, rows, out):
-    """x @ w into out for a block whose first `rows` rows are values and the
-    rest tangents; as two products, values and tangents, where numpy would
-    call gemv (one row or one column), whose last bits depend on the row
-    count."""
-    if rows > 1 and w.shape[1] > 1:
-        return np.matmul(x, w, out=out)
-    np.matmul(x[:rows], w, out=out[:rows])
-    np.matmul(x[rows:], w, out=out[rows:])
     return out
 
 
@@ -303,60 +294,84 @@ class MlpVectorField:
 
     # -- reverse mode ------------------------------------------------------
 
-    def vjp(self, cache, lam_v, lam_div):
+    def vjp(self, cache, lam_v, lam_div, group=0):
         """Gradient of sum_b [lam_v . v + lam_div * div] w.r.t. (theta, x),
         through the value and tangent chains in one reverse pass.
 
         The cache must come from forward_with_cache(..., need_tangents=True).
+        Its rows may stack G groups of B = len(lam_div) rows each.  Then the
+        groups take one vjp each, from group G-1 down to group 0: each forms
+        its input gradient and keeps its layer cotangents in the buffers, and
+        the vjp of group 0 forms the parameter gradient of all G groups, with
+        one product per layer; the others return None for it.
         Returns fresh arrays (grad_theta flat, grad_x (B, d)).
         """
         if "div" not in cache:
             raise InvalidArgumentError("vjp needs a tangent-bearing cache")
+        gx = self._input_gradient(cache, lam_v, lam_div, group)
+        return (self._parameter_gradient(cache) if group == 0 else None), gx
+
+    def _input_gradient(self, cache, lam_v, lam_div, group):
+        """The reverse pass of one row group down to the input: gradient
+        w.r.t. x, leaving each layer's output cotangent in the group's rows
+        of the buffers' r."""
         d, s = self.dim, self.arch.activation_power
-        zs, avals, sps = cache["z"], cache["a"], cache["sp"]
-        raw, eta, etap = cache["raw"], cache["eta"], cache["etap"]
-        batch = len(raw)
-        lam_div = np.asarray(lam_div, dtype=float).reshape(batch, 1)
-        ws = self._buffers(batch, True)
+        rows = len(cache["raw"])
+        lam_div = np.asarray(lam_div, dtype=float).reshape(-1, 1)
+        batch = len(lam_div)
+        if batch == 0 or rows % batch or not 0 <= group < rows // batch:
+            raise InvalidArgumentError(
+                f"no group {group} of {batch} rows in a cache of {rows} rows")
+        g = slice(group * batch, (group + 1) * batch)
+        raw, eta, etap = cache["raw"][g], cache["eta"][g], cache["etap"][g]
+        ws = self._buffers(rows, True)
+
+        def block(x):  # the group's value and tangent rows of a stacked block
+            return x.reshape(d + 1, rows, x.shape[1])[:, g]
 
         # cotangent of the output block: the value rows, then the tangent
-        # rows, of which only the diagonal entries (row (i+1)*B + b,
-        # column i) enter the trace
-        r = np.zeros(((d + 1) * batch, d))
-        r[:batch] = lam_v * eta + lam_div * etap
+        # rows, of which only the diagonal entries (tangent i + 1, column i)
+        # enter the trace
+        r = block(ws["r"][-1])
+        r[0] = lam_v * eta + lam_div * etap
+        r[1:] = 0.0
         idx = np.arange(d)
-        r[batch:].reshape(d, batch, d)[idx, :, idx] = (lam_div * eta).T
+        r[1 + idx, :, idx] = (lam_div * eta).T
 
-        gtheta = np.empty_like(self._theta)
-        grads = self._views(gtheta)
-        for li in range(len(self.layers) - 1, -1, -1):
-            w, (gw, gb), z = self.layers[li][0], grads[li], zs[li]
-            np.matmul(r[:batch].T, z[:batch], out=gw)
-            gw += r[batch:].T @ z[batch:]
-            # einsum is faster than sum, and equal to it but at one column
-            np.einsum("ij->j", r[:batch], out=gb) if len(gb) > 1 else r[:batch].sum(0, out=gb)
-            if li == 0:
-                break
-
-            # the value and tangent cotangents of layer li's input, in one product
-            k, a = li - 1, avals[li - 1]
-            r_z = _product(r, w, batch, ws["r"][k])
-            stacked = (d + 1, batch, w.shape[1])
+        for li in range(len(self.layers) - 1, 0, -1):
+            # the value and tangent cotangents of layer li's input, in one call
+            w, k = self.layers[li][0], li - 1
+            a = block(cache["a"][k])
+            r_z = np.matmul(r, w, out=block(ws["r"][k]))
             if s > 1:  # sigma'' vanishes at s = 1
                 # sigma'' times the sum over tangents of cotangent * pre-activation
-                prod = np.multiply(r_z[batch:], a[batch:], out=ws["prod"][k])
-                red = prod if d == 1 else np.sum(prod.reshape(d, batch, -1), 0, out=ws["red"][k])
-                spp = ws["spp"][k]  # from a itself at s = 2
-                red *= _power(a[:batch] if s == 2 else np.maximum(a[:batch], 0.0, out=spp),
+                prod = np.multiply(r_z[1:], a[1:],
+                                   out=ws["prod"][k][: d * batch].reshape(d, batch, -1))
+                red = prod[0] if d == 1 else np.sum(prod, 0, out=ws["red"][k][:batch])
+                spp = ws["spp"][k][:batch]  # from a itself at s = 2
+                red *= _power(a[0] if s == 2 else np.maximum(a[0], 0.0, out=spp),
                               s - 2, s * (s - 1), out=spp)
-            np.multiply(r_z.reshape(stacked), sps[k], out=r_z.reshape(stacked))
+            np.multiply(r_z, cache["sp"][k][g], out=r_z)
             if s > 1:
-                r_z[:batch] += red
+                r_z[0] += red
             r = r_z
-        gx = (r[:batch] @ w)[:, :d].copy()
+        gx = (r[0] @ self.layers[0][0])[:, :d].copy()
         gx += lam_v * raw * etap
-        gx += lam_div * (etap * cache["jdiag"] - 2.0 * raw)
-        return gtheta, gx
+        gx += lam_div * (etap * cache["jdiag"][g] - 2.0 * raw)
+        return gx
+
+    def _parameter_gradient(self, cache):
+        """Gradient w.r.t. theta from the layer cotangents that the vjps of a
+        cache's groups left in the buffers: one product per layer, over the
+        value and tangent rows of every group."""
+        rows = len(cache["raw"])
+        ws = self._buffers(rows, True)
+        gtheta = np.empty_like(self._theta)
+        for (gw, gb), r, z in zip(self._views(gtheta), ws["r"], cache["z"]):
+            np.matmul(r.T, z, out=gw)
+            # einsum is faster than sum, and equal to it but at one column
+            np.einsum("ij->j", r[:rows], out=gb) if len(gb) > 1 else r[:rows].sum(0, out=gb)
+        return gtheta
 
 
 # ---------------------------------------------------------------------------

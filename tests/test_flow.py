@@ -180,7 +180,8 @@ def counting_buffers(monkeypatch):
 def test_sweeps_build_one_workspace_per_block(monkeypatch, full_blocks, extra):
     # the network keeps one buffer set per tangent flag, which only grows:
     # a sweep builds it for its first block, the largest (2,049 rows are
-    # blocks of 683 rows), and the adjoint for its batch
+    # blocks of 683 rows), and the adjoint for its batch, or for a step's
+    # four stages at once where they fit in one sweep block
     rows = full_blocks * flow.SWEEP_BLOCK_ROWS + extra
     blocks = -(-rows // flow.SWEEP_BLOCK_ROWS)
     built = counting_buffers(monkeypatch)
@@ -191,12 +192,13 @@ def test_sweeps_build_one_workspace_per_block(monkeypatch, full_blocks, extra):
     built.clear()
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     log_density_with_gradient(fm, dn.uniform_density(2), np.full((rows, 2), 0.5))
-    assert [b["capacity"] for b in built] == [rows, rows]
+    grouped = rows >= 2 and 4 * rows <= flow.SWEEP_BLOCK_ROWS
+    assert [b["capacity"] for b in built] == [rows, 4 * rows if grouped else rows]
 
 
 def test_adjoint_builds_buffers_once_per_batch_size(monkeypatch):
     # a smaller batch reuses the sets of a larger one; a larger one builds
-    # them anew
+    # them anew, with room for its grouped stages
     built = counting_buffers(monkeypatch)
     fm = FlowMap(random_net(seed=10), dim=2, steps=4)
     x = np.random.default_rng(11).uniform(0.1, 0.9, size=(9, 2))
@@ -206,13 +208,13 @@ def test_adjoint_builds_buffers_once_per_batch_size(monkeypatch):
     for got, want in zip(second, first):
         np.testing.assert_array_equal(got, want)
     smaller = log_density_with_gradient(fm, dn.uniform_density(2), x[:5])
-    assert [b["capacity"] for b in built] == [7, 7]
+    assert [b["capacity"] for b in built] == [7, 28]
     fresh = FlowMap(random_net(seed=10), dim=2, steps=4)
     for got, want in zip(smaller, log_density_with_gradient(fresh, dn.uniform_density(2), x[:5])):
         np.testing.assert_array_equal(got, want)
     del built[2:]  # the fresh field's
     log_density_with_gradient(fm, dn.uniform_density(2), x)
-    assert [b["capacity"] for b in built] == [7, 7, 9, 9]
+    assert [b["capacity"] for b in built] == [7, 28, 9, 36]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,13 @@ def test_liouville_against_fd_jacobian_2d():
 # ---------------------------------------------------------------------------
 
 
-def test_log_density_gradient_matches_fd():
+@pytest.mark.parametrize("block_rows", [flow.SWEEP_BLOCK_ROWS, 4])
+def test_log_density_gradient_matches_fd(monkeypatch, block_rows):
+    # a step's four stages of 2 rows are recomputed in one call of 8 rows,
+    # unless a sweep block holds fewer; then one stage at a time.  (Many
+    # rows would put one near a kink of sigma'', which central differences
+    # of the divergence straddle.)
+    monkeypatch.setattr(flow, "SWEEP_BLOCK_ROWS", block_rows)
     net = random_net(dim=1, depth=2, width=6, seed=7)
     fm = FlowMap(net, dim=1, steps=8)
     src = dn.uniform_density(1)
@@ -388,12 +396,13 @@ def test_log_density_gradient_matches_fd():
     assert np.max(np.abs(grad - fd)) / denom < 1e-5
 
 
-@pytest.mark.parametrize("batch", [1, 2, 7, 64, 256])
+@pytest.mark.parametrize("batch", [1, 2, 7, 64, 256, 257])
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
 def test_gradient_path_log_densities_are_bitwise_the_dense_ones(dim, batch):
     # the gradient path reads its preimages from value-only evaluations and
-    # its divergences from the tangent caches of its reverse sweep; the
-    # dense log-density reads both from one stacked evaluation
+    # its divergences from the tangent caches of its reverse sweep, which
+    # holds a step's four stages in one call of 4B rows at 2 <= B <= 256;
+    # the dense log-density reads both from one stacked evaluation per stage
     fm = FlowMap(random_net(dim=dim, depth=2, width=16, seed=dim * batch), dim=dim, steps=4)
     src = dn.product_density([dn.linear_tilt(0.5, 1.0)] * dim)
     y = np.random.default_rng(batch).uniform(0.05, 0.95, size=(batch, dim))

@@ -415,6 +415,27 @@ def test_stacked_value_rows_are_bitwise_the_value_only_evaluation(dim, batch):
                                       net.forward(x, 0.3))
 
 
+@pytest.mark.parametrize("dim, batch", [(1, 2), (2, 5), (3, 4)])
+def test_grouped_vjp_matches_one_vjp_per_group(dim, batch):
+    # three groups of `batch` rows, each with its own time, in one cache
+    net = small_net(dim, 2, 8, seed=29)
+    rng = np.random.default_rng(30)
+    x = rng.uniform(0.05, 0.95, size=(3, batch, dim))
+    t = np.array([0.1, 0.4, 0.9])
+    lam_v, lam_div = rng.normal(size=(3, batch, dim)), rng.normal(size=(3, batch))
+    separate = [net.vjp(net.forward_with_cache(x[g], t[g], need_tangents=True)[1],
+                        lam_v=lam_v[g], lam_div=lam_div[g]) for g in range(3)]
+    _, cache = net.forward_with_cache(x.reshape(-1, dim), np.repeat(t, batch),
+                                      need_tangents=True)
+    for g in (2, 1, 0):
+        gtheta, gx = net.vjp(cache, lam_v=lam_v[g], lam_div=lam_div[g], group=g)
+        np.testing.assert_array_equal(gx, separate[g][1])
+        assert (gtheta is None) == (g > 0)
+    np.testing.assert_allclose(gtheta, sum(s[0] for s in separate), rtol=1e-13, atol=1e-13)
+    with pytest.raises(InvalidArgumentError, match="group 3"):
+        net.vjp(cache, lam_v=lam_v[0], lam_div=lam_div[0], group=3)
+
+
 def test_vjp_needs_a_tangent_cache():
     net = small_net(2, 2, 8, seed=21)
     x = np.random.default_rng(22).uniform(size=(3, 2))
