@@ -238,18 +238,16 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     c = np.asarray(sample_weights, dtype=float).reshape(batch, 1)
 
     h = 1.0 / fm.steps
-    # the stage inputs of the value-only forward sweep, step by step, and
-    # their times (stage s, s + h/2, s + h/2, s + h of the backward flow)
-    stages = np.empty((fm.steps, 4, batch, fm.dim))
+    # the stage inputs of the value-only forward sweep: rows j*B .. (j+1)*B
+    # of step n hold stage j, and `times` their times in the backward flow
+    stages = np.empty((fm.steps, 4 * batch, fm.dim))
     z0 = _rk4(lambda u, s: (-net(u, 1.0 - s), 0.0), w, fm.steps,
               stages.reshape(4 * fm.steps, batch, fm.dim))[0]
     times = 1.0 - (np.arange(fm.steps)[:, None] * h + np.array([0.0, 0.5 * h, 0.5 * h, h]))
+    times = np.repeat(times, batch, axis=1)
     log_source = _log_source(source, z0)
-
-    grouped = batch >= 2 and 4 * batch <= SWEEP_BLOCK_ROWS
-    if grouped:  # a step's stages as one block of 4B rows, each with its time
-        step_rows = stages.reshape(fm.steps, 4 * batch, fm.dim)
-        step_times = np.repeat(times, batch, axis=1)
+    # stages per recomputed cache
+    per_call = 4 if batch >= 2 and 4 * batch <= SWEEP_BLOCK_ROWS else 1
 
     # reverse sweep: lam tracks the cotangent on the running position,
     # the divergence integral contributes a constant -c per sample.  Stage j
@@ -261,27 +259,25 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     feed = (0.5 * h, 0.5 * h, h)
     lam_div = [wt * lam_d for wt in weight]
     grad = np.zeros_like(net.theta)
-    divs = np.empty((fm.steps, 4, batch))  # from the reverse sweep's tangent caches
+    divs = np.empty((fm.steps, 4 * batch))  # from the reverse sweep's tangent caches
 
     for n in range(fm.steps - 1, -1, -1):
-        if grouped:
-            _, cache = net.forward_with_cache(step_rows[n], step_times[n], need_tangents=True)
-            divs[n] = cache["div"].reshape(4, batch)
         gu = [None] * 4
         for j in (3, 2, 1, 0):
+            if j % per_call == per_call - 1:  # the last stage of a cache: recompute it
+                rows = slice((j + 1 - per_call) * batch, (j + 1) * batch)
+                _, cache = net.forward_with_cache(stages[n, rows], times[n, rows],
+                                                  need_tangents=True)
+                divs[n, rows] = cache["div"]
             alpha = weight[j] * lam if j == 3 else weight[j] * lam + feed[j] * gu[j + 1]
-            if not grouped:
-                _, cache = net.forward_with_cache(stages[n, j], times[n, j], need_tangents=True)
-                divs[n, j] = cache["div"]
-            g, gu[j] = net.vjp(cache, lam_v=-alpha, lam_div=lam_div[j],
-                               group=j if grouped else 0)
+            g, gu[j] = net.vjp(cache, lam_v=-alpha, lam_div=lam_div[j], group=j % per_call)
             if g is not None:
                 grad += g
         lam = lam + gu[0] + gu[1] + gu[2] + gu[3]
 
     # the divergence integral in forward step order, summed as _rk4 sums it
     acc = np.zeros(batch)
-    for d1, d2, d3, d4 in divs:
+    for d1, d2, d3, d4 in divs.reshape(fm.steps, 4, batch):
         acc = acc + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     logp = log_source - acc
 
