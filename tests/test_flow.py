@@ -370,13 +370,21 @@ def test_liouville_against_fd_jacobian_2d():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("block_rows", [flow.SWEEP_BLOCK_ROWS, 4])
-def test_log_density_gradient_matches_fd(monkeypatch, block_rows):
-    # a step's four stages of 2 rows are recomputed in one call of 8 rows,
-    # unless a sweep block holds fewer; then one stage at a time.  (Many
-    # rows would put one near a kink of sigma'', which central differences
-    # of the divergence straddle.)
-    monkeypatch.setattr(flow, "SWEEP_BLOCK_ROWS", block_rows)
+def test_log_density_gradient_matches_fd():
+    # a step's four stages of 2 rows are recomputed in one call of 8 rows.
+    # (Many rows would put one near a kink of sigma'', which central
+    # differences of the divergence straddle.)
+    assert_log_density_gradient_matches_fd()
+
+
+def test_log_density_gradient_matches_fd_one_stage_per_call(monkeypatch):
+    # 8 rows do not fit in a sweep block of 4, so each stage is recomputed
+    # on its own
+    monkeypatch.setattr(flow, "SWEEP_BLOCK_ROWS", 4)
+    assert_log_density_gradient_matches_fd()
+
+
+def assert_log_density_gradient_matches_fd():
     net = random_net(dim=1, depth=2, width=6, seed=7)
     fm = FlowMap(net, dim=1, steps=8)
     src = dn.uniform_density(1)
