@@ -10,12 +10,12 @@ a rule's bits do not depend on the BLAS thread count.
 
 Sparse grids combine tensor rules over the admissible multi-index band
 with alternating binomial coefficients.  Every nested node of a grid
-lies on one dyadic lattice cos(pi j / N), so each tensor point is a row
-of integer lattice indices and coincident nodes are merged by exact
-integer comparison, never by comparing floats.
-
-Every tensor product here (tensor rules, Smolyak terms and the tensor
-Gauss-Legendre rule of the dense oracles) is built by tensor_product.
+lies on one dyadic lattice cos(pi j / N), so each tensor point is a
+packed integer key of its lattice indices and coincident nodes are
+merged by exact integer comparison, never by comparing floats.
+smolyak finds every term's points by index arithmetic; tensor rules and
+the tensor Gauss-Legendre rule of the dense oracles are built by
+tensor_product.
 """
 
 import functools
@@ -40,11 +40,7 @@ def _cos_pi_frac(num, den):
     """
     if 2 * num == den:
         return 0.0
-    if num == 0:
-        return 1.0
-    if num == den:
-        return -1.0
-    if 2 * num < den:
+    if 2 * num < den:  # cos(0) is exactly 1, so the ends are exactly +-1
         return math.cos(math.pi * num / den)
     return -math.cos(math.pi * (den - num) / den)
 
@@ -65,9 +61,7 @@ def growth(level):
     """Closed nonlinear growth: 1 point at level 1, then 2**(i-1) + 1."""
     if level < 1:
         raise InvalidArgumentError(f"growth level must be >= 1, got {level}")
-    if level == 1:
-        return 1
-    return 2 ** (level - 1) + 1
+    return 1 if level == 1 else 2 ** (level - 1) + 1
 
 
 def cc_nodes(m, domain=(-1.0, 1.0)):
@@ -102,22 +96,23 @@ def _dct1(v):
     """
     n = len(v) - 1
     out = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n
-    out[0] *= 0.5
-    out[n] *= 0.5
+    out[[0, n]] *= 0.5
     return out
 
 
-def _weighted_chebyshev_moments(weight, m, domain):
-    """Moments of T_k, k < m, against `weight` from its Chebyshev interpolant.
+def _chebyshev_moments(weight, m, domain):
+    """Moments of T_k, k < m, against `weight` (None: Lebesgue measure).
 
-    The weight is interpolated at N + 1 Chebyshev extrema, the interval
-    ends included, with N doubled from 16 until the last 8 coefficients
-    are at most _CHEB_TOL of the largest; a weight unresolved at
-    _CHEB_MAX_DEGREE raises InvalidWeightError.  T_j T_k = (T_{j+k} +
-    T_|j-k|) / 2 turns the coefficients into moments with the closed-form
-    integrals of T_n.
+    Moment k does not depend on m.  A callable weight is interpolated at
+    N + 1 Chebyshev extrema, the interval ends included, with N doubled
+    from 16 until the last 8 coefficients are at most _CHEB_TOL of the
+    largest; a weight unresolved at _CHEB_MAX_DEGREE raises
+    InvalidWeightError.  T_j T_k = (T_{j+k} + T_|j-k|) / 2 turns the
+    coefficients into moments with the closed-form integrals of T_n.
     """
     a, b = domain
+    if weight is None:
+        return _uniform_chebyshev_moments(m) * (0.5 * (b - a))
     n = 16
     while True:
         x = cc_nodes(n + 1, (a, b))[::-1]  # cos(pi j / n), j = 0..n, mapped
@@ -138,6 +133,13 @@ def _weighted_chebyshev_moments(weight, m, domain):
     return 0.5 * np.einsum("j,jk->k", coef, integrals[j + k] + integrals[abs(j - k)])
 
 
+def _weights_from_moments(mom):
+    """Ascending-node weights of the len(mom)-point rule matching `mom`."""
+    if len(mom) == 1:  # the midpoint carries the whole mass
+        return mom
+    return _dct1(mom)[::-1].copy()  # weights of cos(pi j / n); nodes are reported ascending
+
+
 def cc_weights(m, domain=(-1.0, 1.0), weight=None):
     """Weights of the m-point Clenshaw-Curtis rule on `domain`.
 
@@ -149,13 +151,7 @@ def cc_weights(m, domain=(-1.0, 1.0), weight=None):
     a, b = _check_domain(domain)
     if m < 1:
         raise InvalidArgumentError(f"point count must be >= 1, got {m}")
-    if weight is None:
-        mom = _uniform_chebyshev_moments(m) * (0.5 * (b - a))
-    else:
-        mom = _weighted_chebyshev_moments(weight, m, (a, b))
-    if m == 1:  # the midpoint carries the whole mass
-        return mom
-    return _dct1(mom)[::-1].copy()  # weights of cos(pi j / n); nodes are reported ascending
+    return _weights_from_moments(_chebyshev_moments(weight, m, (a, b)))
 
 
 @dataclass(frozen=True)
@@ -230,20 +226,14 @@ def tensor_rule(index, per_dim_rules):
     per_dim_rules[i] must carry growth(index_i) points.
     Returns (nodes (M, d), weights (M,)).
     """
-    if isinstance(index, MultiIndex):
-        entries = index.entries
-    else:
-        entries = tuple(index)
-        index = MultiIndex(entries)
+    entries = (index if isinstance(index, MultiIndex) else MultiIndex(tuple(index))).entries
     if len(per_dim_rules) != len(entries):
         raise InvalidArgumentError(
-            f"index has {len(entries)} entries but {len(per_dim_rules)} rules were given"
-        )
+            f"index has {len(entries)} entries but {len(per_dim_rules)} rules were given")
     for i, (k, rule) in enumerate(zip(entries, per_dim_rules)):
         if rule.point_count != growth(k):
             raise InvalidArgumentError(
-                f"rule {i} has {rule.point_count} points, expected growth({k}) = {growth(k)}"
-            )
+                f"rule {i} has {rule.point_count} points, expected growth({k}) = {growth(k)}")
     return tensor_product([r.nodes for r in per_dim_rules], [r.weights for r in per_dim_rules])
 
 
@@ -281,15 +271,13 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     """Assemble the sparse grid of the given dimension and sparsity level.
 
     `weights` is None (uniform), a single density callable used on every
-    axis, or a sequence of d per-axis density callables.  The same rule
-    family per axis is reused at every level, preserving nesting.
+    axis, or a sequence of d per-axis density callables.  Each axis solves
+    its moments once; every level's weights come from a prefix of them.
 
-    Every node lies on the lattice cos(pi j / N)^d, N = max(2, 2**level),
-    so a tensor point is a row of integer lattice indices, and coincident
-    nodes are found by comparing those rows.  Weights of equal rows are
-    summed in combination order; the node count equals the set union of
-    the contributing tensor grids, and nodes come out in lexicographic
-    order.
+    Every node lies on the lattice cos(pi j / N)^d, N = max(2, 2**level).
+    Tensor rows are found by index arithmetic and keyed by integers, so
+    coincident nodes merge by exact comparison, their weights summed in
+    combination order; nodes come out in lexicographic order.
     """
     a, b = _check_domain(domain)
     if dim < 1:
@@ -301,40 +289,52 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     else:
         per_dim_weight = list(weights)
         if len(per_dim_weight) != dim:
-            raise InvalidArgumentError(
-                f"got {len(per_dim_weight)} axis weights for dim {dim}"
-            )
+            raise InvalidArgumentError(f"got {len(per_dim_weight)} axis weights for dim {dim}")
 
     q = level + dim
-    rules = [[cc_rule(growth(k), (a, b), w) for k in range(1, level + 2)] for w in per_dim_weight]
+    terms = [(MultiIndex(entries), (-1) ** (q - total) * math.comb(dim - 1, q - total))
+             for total in range(max(dim, q - dim + 1), q + 1)
+             for entries in _compositions(total, dim)]
+
+    # The rules of levels 1..level+1 lie end to end, each ascending; node
+    # cos(pi j / N) is stored as its digit N - j, which grows with the node.
     fine = max(2, 2**level)
-    # lattice indices of each 1-D level's nodes, ascending; level 1 is the midpoint
-    positions = [np.array([fine // 2])] + [
-        np.arange(2 ** (k - 1), -1, -1) * (fine >> (k - 1)) for k in range(2, level + 2)
-    ]
+    points = [growth(k) for k in range(1, level + 2)]  # per level
+    digits = np.concatenate([[fine // 2]] + [np.arange(m) * (fine // (m - 1)) for m in points[1:]])
+    rule_w = [np.concatenate([_weights_from_moments(mom[:m]) for m in points])
+              for mom in (_chebyshev_moments(w, points[-1], (a, b)) for w in per_dim_weight)]
 
-    terms, rows, parts = [], [], []
-    for total in range(max(dim, q - dim + 1), q + 1):
-        coeff = (-1) ** (q - total) * math.comb(dim - 1, q - total)
-        for entries in _compositions(total, dim):
-            terms.append((MultiIndex(entries), coeff))
-            # the coefficient leads, so every product rounds from it in axis order
-            term, w = tensor_product([positions[k - 1] for k in entries],
-                                     [np.array([float(coeff)])]
-                                     + [rules[i][k - 1].weights for i, k in enumerate(entries)])
-            rows.append(term)
-            parts.append(w)
+    # each tensor row's index within its term; rows run last axis fastest
+    entries = np.array([mi.entries for mi, _ in terms])
+    starts = np.cumsum([0] + points[:-1])[entries - 1]
+    sizes = np.array(points)[entries - 1]
+    tails = np.cumprod(sizes[:, ::-1], axis=1)[:, ::-1]  # prod(sizes[:, i:])
+    strides, counts = tails // sizes, tails[:, 0]
+    local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    rows = np.concatenate(rows)
-    # one opaque key per index row, so equal rows compare equal
-    uniq, inv = np.unique(rows.view(np.dtype((np.void, rows.itemsize * dim))), return_inverse=True)
-    # bincount adds each row's weights in input order, i.e. combination order
-    wvec = np.bincount(inv.ravel(), weights=np.concatenate(parts))
-    table = np.array([_affine_to((a, b), _cos_pi_frac(j, fine)) for j in range(fine + 1)])
-    nodes = table[uniq.view(rows.dtype).reshape(-1, dim)]
-    order = np.lexsort(nodes.T[::-1])
-    nodes = nodes[order]
-    wvec = wvec[order]
+    # Ascending keys are ascending nodes; a word holds as many digits as fit.
+    radix = fine + 1
+    per_word = next(k for k in itertools.count(1) if radix ** (k + 1) > 2**63)
+    keys = np.zeros((-(-dim // per_word), len(local)), dtype=np.int64)
+    # the coefficient leads, so every product rounds from it in axis order
+    weight = np.repeat([float(c) for _, c in terms], counts)
+    for i in range(dim):
+        at, local = np.divmod(local, np.repeat(strides[:, i], counts))
+        at += np.repeat(starts[:, i], counts)
+        weight *= rule_w[i][at]
+        keys[i // per_word] *= radix
+        keys[i // per_word] += digits[at]
+
+    # lexsort is stable, so bincount adds each node's weights in combination order
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    new = np.concatenate([[True], (np.diff(keys) != 0).any(axis=0)])
+    wvec = np.bincount(np.cumsum(new) - 1, weights=weight[order])
+    table = np.array([_affine_to((a, b), _cos_pi_frac(fine - k, fine)) for k in range(fine + 1)])
+    keys, nodes = keys[:, new], np.empty((len(wvec), dim))
+    for i in reversed(range(dim)):
+        keys[i // per_word], digit = np.divmod(keys[i // per_word], radix)
+        nodes[:, i] = table[digit]
     return SparseGrid(dim=dim, level=level, nodes=nodes, weights=wvec,
                       combination_terms=tuple(terms))
 

@@ -367,6 +367,10 @@ def _tilt(slope):
         ),
         # (2**3 + 1)**20 >= 2**63: too many lattice points for one int64 code per node
         pytest.param(20, 3, None, (0.0, 1.0), id="d20-l3"),
+        # radix 3: 3**39 <= 2**63 keeps one key word, 3**40 > 2**63 spills into a second
+        pytest.param(39, 1, None, (0.0, 1.0), id="d39-l1"),
+        pytest.param(40, 1, None, (0.0, 1.0), id="d40-l1"),
+        pytest.param(2, 11, None, (0.0, 1.0), id="d2-l11"),
     ],
 )
 def test_smolyak_bitwise_equals_dict_assembly(dim, level, weights, domain):
@@ -394,6 +398,22 @@ def test_weight_is_evaluated_on_every_call_into_fresh_weights():
     weights = [density] + [lambda x: 1.0 + (x - 0.5)] * 5
     np.testing.assert_array_equal(quad.smolyak(6, 3, weights=weights).weights,
                                   quad.smolyak(6, 3, weights=weights).weights)
+
+
+def test_smolyak_solves_each_axis_moments_once():
+    calls = []
+
+    def density(x):
+        calls.append(len(x))
+        return np.exp(x)
+
+    dim, level = 3, 4
+    quad.cc_weights(quad.growth(level + 1), (0.0, 1.0), density)
+    single = len(calls)
+    calls.clear()
+    quad.smolyak(dim, level, weights=density)
+    # one solve per axis at the top level's point count, not one per level
+    assert len(calls) == dim * single
 
 
 def _integrals_of_chebyshev(n):
@@ -426,7 +446,7 @@ def _quad_moments(pdf, m):
        for f in (1, 40, 160, 320)],
 )
 def test_weighted_moments_match_closed_forms_and_quad(pdf, m, reference, tol):
-    got = quad._weighted_chebyshev_moments(pdf, m, (0.0, 1.0))
+    got = quad._chebyshev_moments(pdf, m, (0.0, 1.0))
     want = reference(m) if reference else _quad_moments(pdf, m)
     np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
