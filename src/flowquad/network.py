@@ -237,7 +237,8 @@ class MlpVectorField:
         zs[0][:batch, d] = t
         last = len(self.layers) - 1
         # a value or tangent that overflows shows as a non-finite
-        # pre-activation, of its own layer or the next, which raises
+        # pre-activation, of its own layer or the next, which raises; a
+        # masked output that overflows is non-finite, which its caller sees
         with np.errstate(invalid="ignore", over="ignore"):
             for li, (w, b) in enumerate(self.layers):
                 # values and tangents are two products (see the module
@@ -257,19 +258,20 @@ class MlpVectorField:
                     np.multiply(avals[li][batch:].reshape(stacked), sp,
                                 out=zs[li + 1][batch:].reshape(stacked))
                 _power(z, s, 1, out=z)
+            raw = avals[-1][:batch]
+            eta = x2 * (1.0 - x2)
+            cache = {"raw": raw, "eta": eta}
+            if need_tangents:
+                etap = 1.0 - 2.0 * x2
+                # jdiag[b, i] = d raw_i / d x_i, read from row (i+1)*B + b
+                jdiag = avals[-1][batch:].reshape(d, batch, d).diagonal(axis1=0, axis2=2)
+                cache.update(z=zs, a=avals, sp=ws["sp"], etap=etap, jdiag=jdiag,
+                             div=(eta * jdiag + etap * raw).sum(axis=1))
+            v = raw * eta
         if not np.isfinite(ws["flat"]).all():
             li = next(i for i, a in enumerate(avals) if not np.isfinite(a).all())
             raise NumericalOverflowError(f"non-finite activation in layer {li}", layer=li)
-        raw = avals[-1][:batch]
-        eta = x2 * (1.0 - x2)
-        cache = {"raw": raw, "eta": eta}
-        if need_tangents:
-            etap = 1.0 - 2.0 * x2
-            # jdiag[b, i] = d raw_i / d x_i, read from row (i+1)*B + b
-            jdiag = avals[-1][batch:].reshape(d, batch, d).diagonal(axis1=0, axis2=2)
-            cache.update(z=zs, a=avals, sp=ws["sp"], etap=etap, jdiag=jdiag,
-                         div=(eta * jdiag + etap * raw).sum(axis=1))
-        return raw * eta, cache
+        return v, cache
 
     def value_jacobian_divergence(self, x, t):
         """Field value, spatial Jacobian jac[b, i, k] = dv_i/dx_k and its

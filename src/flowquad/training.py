@@ -10,12 +10,19 @@ Also houses the capacity schedule (width/depth/resolution as functions
 of the sample size) and the sample-size threshold calculator.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, TrainingFailureError
+from .errors import (
+    DomainError,
+    IntegrationFailureError,
+    InvalidArgumentError,
+    NumericalOverflowError,
+    TrainingFailureError,
+)
 from .flow import FlowMap, log_density_with_gradient, log_pushforward_density
 from .network import MlpVectorField, hypothesis_architecture
 
@@ -102,11 +109,22 @@ def nll_with_gradient(net, samples, source, steps):
     return -float(np.mean(logp)), grad
 
 
+@contextlib.contextmanager
+def _failing_in(epoch):
+    """Re-raise a numerical failure of the flow as a TrainingFailureError of `epoch`."""
+    try:
+        yield
+    except (NumericalOverflowError, IntegrationFailureError, DomainError) as exc:
+        raise TrainingFailureError(f"epoch {epoch}: {exc}", epoch=epoch) from exc
+
+
 def train_erm(config, samples, source):
     """Projected mini-batch training; deterministic given (config, samples).
 
     Raises TrainingFailureError (with the epoch) if the loss turns
-    non-finite.
+    non-finite or the flow fails numerically: a network overflow, a
+    non-finite ODE state or a preimage where the source vanishes.  The
+    holdout pass is charged to the best epoch, whose parameters it uses.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n, dim = samples.shape
@@ -148,7 +166,8 @@ def train_erm(config, samples, source):
         epoch_gnorm = 0.0
         for start in range(0, len(train), config.batch_size):
             batch = train[order[start : start + config.batch_size]]
-            loss, grad = nll_with_gradient(net, batch, source, config.integrator_steps)
+            with _failing_in(epoch):
+                loss, grad = nll_with_gradient(net, batch, source, config.integrator_steps)
             if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
                 raise TrainingFailureError(
                     f"non-finite loss/gradient in epoch {epoch}", epoch=epoch
@@ -166,7 +185,8 @@ def train_erm(config, samples, source):
             net.project_theta()
             epoch_gnorm = max(epoch_gnorm, float(np.linalg.norm(grad)))
 
-        epoch_nll = full_nll(train)
+        with _failing_in(epoch):
+            epoch_nll = full_nll(train)
         if not math.isfinite(epoch_nll):
             raise TrainingFailureError(
                 f"non-finite training NLL in epoch {epoch}", epoch=epoch
@@ -182,7 +202,8 @@ def train_erm(config, samples, source):
     net.set_theta(best_theta)
     hold_gap = 0.0
     if len(hold):
-        hold_gap = full_nll(hold) - best_nll
+        with _failing_in(best_epoch):
+            hold_gap = full_nll(hold) - best_nll
     return TrainResult(
         theta_hat=best_theta,
         nll_trace=nll_trace,

@@ -371,6 +371,29 @@ def test_exit_code_training_failure(tmp_path, monkeypatch):
     assert cli.main(["run", "--spec", spec_file, "--out", str(tmp_path / "o")]) == 3
 
 
+# a valid spec whose learning rate blows the field up in its first epoch
+_DIVERGING = spec_payload(
+    name="diverge2d",
+    dim=2,
+    source={"family": "linear_tilt", "params": {"a": 0.0, "b": 2.0}},
+    target={"family": "cosine_bump", "params": {"amp": 0.99, "freq": 7}},
+    grid={"levels": [1, 2]},
+    training={"sample_size": 64, "max_epochs": 2, "hidden_depth": 1, "width": 4,
+              "integrator_steps": 2, "learning_rate": 1e6},
+)
+
+
+# seeds 1 and 6 overflow the network; seed 4 reaches a preimage where the source vanishes
+@pytest.mark.parametrize("seed", [1, 4, 6])
+def test_diverging_training_exits_3_without_a_warning(tmp_path, seed):
+    spec = write_spec(tmp_path, _DIVERGING)
+    proc = _python(["-m", "flowquad.cli", "run", "--spec", spec, "--out", "o",
+                    "--seed", str(seed)], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("training failure: epoch 0: "), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_exit_code_integration_failure(tmp_path, monkeypatch):
     from flowquad.errors import IntegrationFailureError
 
