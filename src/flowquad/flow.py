@@ -10,7 +10,8 @@ implemented map agree to rounding.
 
 The forward map, inverse and density run in row blocks of at most
 SWEEP_BLOCK_ROWS rows (_sweep).  The adjoint runs whole, since summing its
-gradient over blocks would reorder the sums.
+gradient over blocks would reorder the sums.  A network field evaluates
+each row on its own (see network), so no block or batch changes a bit.
 """
 
 import dataclasses
@@ -57,10 +58,9 @@ class FlowMap:
         Rows this map has not pushed under the current parameter snapshot
         go through `push(rows) -> images` once, in order of first
         appearance; the rest are read back.  Rows are keyed by their exact
-        bytes, so -0.0 and 0.0 are different rows.  A row's image may
-        differ in the last bits with the batch it was pushed in, so the
-        result need not be bitwise push(x); a fixed sequence of calls is
-        byte-reproducible.
+        bytes, so -0.0 and 0.0 are different rows.  When push maps each row
+        on its own, as flow_forward of a network field does, the result is
+        bitwise push(x).
         The snapshot is the field object, steps, dim and the bytes of
         field.theta; any change drops every remembered image.  Fields
         without `theta` are pushed whole on every call.
@@ -144,11 +144,9 @@ def _rk4(rhs, y, steps, stages=None, excursion=False):
 
 
 def _sweep(fm, x, rhs, excursion=False):
-    """_rk4 of rhs from the rows of x, in row blocks of at most
+    """_rk4 of rhs from the rows of x, in near-equal row blocks of at most
     SWEEP_BLOCK_ROWS rows.
 
-    Blocks have near-equal sizes, so none has a single row unless x has:
-    a 1-row product takes another BLAS path, which moves the last bits.
     Returns the concatenated states and divergence integrals and the
     largest excursion (0.0 unless asked for); a failure reports its step in
     the first failing block.
@@ -222,9 +220,7 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     computation, accumulated step by step with recomputed caches.  The
     four stages of a step are recomputed in one call of 4B rows when they
     fit in a sweep block (4B <= SWEEP_BLOCK_ROWS), and one at a time
-    otherwise or at B = 1: a 1-row product takes another BLAS path than a
-    4-row one, so its divergences would differ in the last bits from those
-    of log_pushforward_density.
+    otherwise.
     Requires the field to expose forward_with_cache/vjp (a network field)
     and the source to expose grad_log_pdf.
     """
@@ -247,7 +243,7 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     times = np.repeat(times, batch, axis=1)
     log_source = _log_source(source, z0)
     # stages per recomputed cache
-    per_call = 4 if batch >= 2 and 4 * batch <= SWEEP_BLOCK_ROWS else 1
+    per_call = 4 if 4 * batch <= SWEEP_BLOCK_ROWS else 1
 
     # reverse sweep: lam tracks the cotangent on the running position,
     # the divergence integral contributes a constant -c per sample.  Stage j

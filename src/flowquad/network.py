@@ -11,20 +11,21 @@ Differentiation is hand-rolled over the fixed layer graph:
   * a joint reverse pass through both chains for gradients of the
     divergence itself (second-order terms via sigma'').
 
-B points and their d tangents travel as one ((d+1)*B, W) block per layer
-(row k*B + b is tangent k of sample b; k = 0 is its value), so the
-elementwise work of a layer runs once, and the reverse pass gets value and
-tangent cotangents from one call with w.  Forward products give the
-value rows a product of their own, since a BLAS picks its kernel by shape
-and more rows could round them otherwise than a value-only call does.
-They take a contiguous copy of w.T (NN), which OpenBLAS runs 1.5-2.5x
-faster than the view w.T (NT) here.  The pre-activations of a call share
-one flat buffer with one finite check.  Only value_jacobian_divergence
-assembles the d x d Jacobian.  The adjoint recomputes forward caches
-instead of keeping them, up to the four stages of an RK4 step in one cache
-of stacked row groups: vjp runs the reverse pass of one group down to the
-input, and forms the parameter gradient of all groups with one product per
-layer once the last group is done.
+B points and their d tangents travel as one ((d+1)*P, W) block per layer
+(row k*P + b is tangent k of sample b; k = 0 is its value), P being B
+rounded up to whole tiles of TILE_ROWS rows, so the elementwise work of a
+layer runs once, and the reverse pass gets value and tangent cotangents
+from one call with w.  A forward product is one matmul of the block's
+tiles by a contiguous copy of w.T.  All tiles have one shape, which fixes
+how the BLAS rounds a row, so a row's value, tangents and divergence are
+the same bits in any batch.  Padding rows repeat the last row, so the one
+finite check of the pre-activations (one flat buffer) gives the real
+rows' verdict.  Only value_jacobian_divergence assembles the d x d
+Jacobian.  The adjoint recomputes forward caches instead of keeping them,
+up to the four stages of an RK4 step in one cache of stacked row groups:
+vjp runs the reverse pass of one group down to the input, and forms the
+parameter gradient of all groups with one product per layer once the
+last group is done.
 
 Every layer-sized intermediate is written with out= into buffers the field
 owns (see MlpVectorField); fresh buffers above glibc's mmap threshold were
@@ -41,6 +42,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalOverflowError
 from .flow import FlowMap
+
+TILE_ROWS = 64  # rows of every forward product (see the module docstring)
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +186,20 @@ class MlpVectorField:
     # -- scratch buffers ---------------------------------------------------
 
     def _buffers(self, rows, tangents):
-        """The kept buffer set of this tangent flag, laid out for `rows` rows.
+        """The kept buffer set of this tangent flag, laid out for P rows, its
+        "rows": `rows` rounded up to whole tiles.
 
-        A set only grows: it is built when `rows` exceeds every row count
-        before it, and otherwise hands out views of the first entries of
-        its storage.  Each layer's input z and pre-activation a is one
-        block: the value rows, then with tangents tangent 1, ..., tangent d
-        (row k*rows + b is tangent k of sample b).  The pre-activations of
-        all layers are one flat buffer, `flat`, which covers this layout
-        only.  With tangents the set also holds sigma' of each hidden layer
-        and the reverse pass's buffers: the cotangent r of each layer's
-        output, which the parameter gradient reads, and temporaries; a vjp
-        writes only buffers its cache does not read."""
+        A set only grows: it is built when P exceeds every count before it,
+        and otherwise hands out views of the first entries of its storage.
+        Each layer's input z and pre-activation a is one block: the value
+        rows, then with tangents tangent 1, ..., tangent d (row k*P + b is
+        tangent k of sample b).  The pre-activations of all layers are one
+        flat buffer, `flat`, which covers this layout only.  With tangents
+        the set also holds sigma' of each hidden layer and the reverse
+        pass's buffers: the cotangent r of each layer's output, which the
+        parameter gradient reads, and temporaries; a vjp writes only
+        buffers its cache does not read."""
+        rows = -(-rows // TILE_ROWS) * TILE_ROWS
         ws = self._scratch[tangents]
         if ws is not None and ws["rows"] == rows:
             return ws
@@ -232,39 +237,36 @@ class MlpVectorField:
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         d, batch, s = self.dim, len(x2), self.arch.activation_power
         ws = self._buffers(batch, need_tangents)
-        zs, avals = ws["z"], ws["a"]
+        zs, avals, rows = ws["z"], ws["a"], ws["rows"]
         zs[0][:batch, :d] = x2
         zs[0][:batch, d] = t
+        zs[0][batch:rows] = zs[0][batch - 1 : batch]  # padding repeats the last row, if any
         last = len(self.layers) - 1
         # a value or tangent that overflows shows as a non-finite
         # pre-activation, of its own layer or the next, which raises; a
         # masked output that overflows is non-finite, which its caller sees
         with np.errstate(invalid="ignore", over="ignore"):
             for li, (w, b) in enumerate(self.layers):
-                # values and tangents are two products (see the module
-                # docstring); NN rounds otherwise than NT at 2-4 output
-                # columns and in a 1-row product (gemv), which keep NT
-                wt = w.T if len(b) <= 4 or batch == 1 else w.T.copy()
-                a = np.matmul(zs[li][:batch], wt, out=avals[li][:batch])
-                if need_tangents:
-                    np.matmul(zs[li][batch:], wt, out=avals[li][batch:])
-                a += b
+                a = avals[li]  # one product on fixed tiles (see the module docstring)
+                np.matmul(zs[li].reshape(-1, TILE_ROWS, len(w[0])), w.T.copy(),
+                          out=a.reshape(-1, TILE_ROWS, len(b)))
+                a[:rows] += b
                 if li == last:
                     break
-                z = np.maximum(a, 0.0, out=zs[li + 1][:batch])
+                z = np.maximum(a[:rows], 0.0, out=zs[li + 1][:rows])
                 if need_tangents:
-                    stacked = (d, batch, len(b))
+                    stacked = (d, rows, len(b))
                     sp = _power(z, s - 1, s, out=ws["sp"][li])
-                    np.multiply(avals[li][batch:].reshape(stacked), sp,
-                                out=zs[li + 1][batch:].reshape(stacked))
+                    np.multiply(a[rows:].reshape(stacked), sp,
+                                out=zs[li + 1][rows:].reshape(stacked))
                 _power(z, s, 1, out=z)
             raw = avals[-1][:batch]
             eta = x2 * (1.0 - x2)
             cache = {"raw": raw, "eta": eta}
             if need_tangents:
                 etap = 1.0 - 2.0 * x2
-                # jdiag[b, i] = d raw_i / d x_i, read from row (i+1)*B + b
-                jdiag = avals[-1][batch:].reshape(d, batch, d).diagonal(axis1=0, axis2=2)
+                # jdiag[b, i] = d raw_i / d x_i, read from row (i+1)*P + b
+                jdiag = avals[-1].reshape(d + 1, rows, d)[1:, :batch].diagonal(axis1=0, axis2=2)
                 cache.update(z=zs, a=avals, sp=ws["sp"], etap=etap, jdiag=jdiag,
                              div=(eta * jdiag + etap * raw).sum(axis=1))
             v = raw * eta
@@ -278,7 +280,7 @@ class MlpVectorField:
         exact trace, batched."""
         v, cache = self._forward_cached(x, t, need_tangents=True)
         d, raw = self.dim, cache["raw"]
-        jac = cache["a"][-1][len(raw):].reshape(d, len(raw), d).transpose(1, 2, 0)
+        jac = cache["a"][-1].reshape(d + 1, -1, d)[1:, : len(raw)].transpose(1, 2, 0)
         jac = cache["eta"][:, :, None] * jac
         idx = np.arange(d)
         jac[:, idx, idx] += cache["etap"] * raw
@@ -329,7 +331,7 @@ class MlpVectorField:
         ws = self._buffers(rows, True)
 
         def block(x):  # the group's value and tangent rows of a stacked block
-            return x.reshape(d + 1, rows, x.shape[1])[:, g]
+            return x.reshape(d + 1, -1, x.shape[1])[:, g]
 
         # cotangent of the output block: the value rows, then the tangent
         # rows, of which only the diagonal entries (tangent i + 1, column i)
@@ -365,14 +367,14 @@ class MlpVectorField:
     def _parameter_gradient(self, cache):
         """Gradient w.r.t. theta from the layer cotangents that the vjps of a
         cache's groups left in the buffers: one product per layer, over the
-        value and tangent rows of every group."""
+        value and tangent rows of every group, padding rows included."""
         rows = len(cache["raw"])
         ws = self._buffers(rows, True)
         gtheta = np.empty_like(self._theta)
         for (gw, gb), r, z in zip(self._views(gtheta), ws["r"], cache["z"]):
+            r.reshape(self.dim + 1, ws["rows"], -1)[:, rows:] = 0.0  # not an earlier call's
             np.matmul(r.T, z, out=gw)
-            # einsum is faster than sum, and equal to it but at one column
-            np.einsum("ij->j", r[:rows], out=gb) if len(gb) > 1 else r[:rows].sum(0, out=gb)
+            np.einsum("ij->j", r[:rows], out=gb)
         return gtheta
 
 

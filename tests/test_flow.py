@@ -15,7 +15,7 @@ from flowquad.flow import (
     log_density_with_gradient,
     log_pushforward_density,
 )
-from flowquad.network import MlpVectorField, hypothesis_architecture
+from flowquad.network import TILE_ROWS, MlpVectorField, hypothesis_architecture
 from flowquad.transport import KrTransport, TransportField
 
 
@@ -148,8 +148,9 @@ def test_empty_batch_gives_empty_results(entry, shape, field):
     assert entry(fm, np.empty((0, 2))).shape == shape
 
 
-def test_blocked_sweeps_equal_one_block(monkeypatch):
-    fm = FlowMap(random_net(seed=8), dim=2, steps=4)
+@pytest.mark.parametrize("width", [8, 17, 20])
+def test_blocked_sweeps_equal_one_block(monkeypatch, width):
+    fm = FlowMap(random_net(width=width, seed=8), dim=2, steps=4)
     source = dn.product_density([dn.linear_tilt(0.5, 1.0), dn.cosine_bump(0.3)])
     x = np.random.default_rng(13).uniform(0.05, 0.95, size=(2 * flow.SWEEP_BLOCK_ROWS + 1, 2))
 
@@ -160,6 +161,11 @@ def test_blocked_sweeps_equal_one_block(monkeypatch):
     monkeypatch.setattr(flow, "SWEEP_BLOCK_ROWS", len(x))
     for got, want in zip(blocked, sweeps()):
         np.testing.assert_array_equal(got, want)
+
+
+def tiled(rows):
+    """The row count a network lays its buffers out for: whole tiles."""
+    return -(-rows // TILE_ROWS) * TILE_ROWS
 
 
 def counting_buffers(monkeypatch):
@@ -176,45 +182,75 @@ def counting_buffers(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize("width", [16, 17, 20, 32])
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_rows_are_pushed_alike_in_any_batch(dim, width):
+    # batches of 1 to 2,049 rows (two more than two sweep blocks) take
+    # products of every shape a sweep makes; a row's image, preimage and
+    # log-density are those of its 1-row call, and the remembered images
+    # of a level sweep are those of pushing each grid whole
+    fm = FlowMap(random_net(dim=dim, depth=2, width=width, seed=dim + width), dim=dim, steps=2)
+    src = dn.product_density([dn.linear_tilt(0.5, 1.0)] * dim)
+    rng = np.random.default_rng(dim * width)
+    x = rng.uniform(0.05, 0.95, size=(2 * flow.SWEEP_BLOCK_ROWS + 1, dim))
+    entries = [lambda u: flow_forward(fm, u), lambda u: flow_inverse(fm, u),
+               lambda u: log_pushforward_density(fm, src, u)]
+    alone = {}
+    for batch in (1, 2, 3, 7, 65, 683, len(x)):
+        rows = rng.choice(batch, size=min(batch, 24), replace=False)
+        for i in rows:
+            if i not in alone:
+                alone[i] = [entry(x[i : i + 1]) for entry in entries]
+        for k, entry in enumerate(entries):
+            got = entry(x[:batch])[rows]
+            np.testing.assert_array_equal(got, np.concatenate([alone[i][k] for i in rows]))
+    push = lambda rows: flow_forward(fm, rows)
+    for level in range(1, 5):
+        nodes = quad.smolyak(dim, level).nodes
+        np.testing.assert_array_equal(fm.images(nodes, push), push(nodes))
+
+
 @pytest.mark.parametrize("full_blocks, extra", [(0, 1), (0, 5), (2, 1)])
 def test_sweeps_build_one_workspace_per_block(monkeypatch, full_blocks, extra):
     # the network keeps one buffer set per tangent flag, which only grows:
     # a sweep builds it for its first block, the largest (2,049 rows are
     # blocks of 683 rows), and the adjoint for its batch, or for a step's
-    # four stages at once where they fit in one sweep block
+    # four stages at once where they fit in one sweep block; each for its
+    # row count rounded up to whole tiles
     rows = full_blocks * flow.SWEEP_BLOCK_ROWS + extra
     blocks = -(-rows // flow.SWEEP_BLOCK_ROWS)
     built = counting_buffers(monkeypatch)
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     flow_forward(fm, np.full((rows, 2), 0.5))
     flow_forward(fm, np.full((rows, 2), 0.25))
-    assert [b["capacity"] for b in built] == [-(-rows // blocks)]
+    assert [b["capacity"] for b in built] == [tiled(-(-rows // blocks))]
     built.clear()
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     log_density_with_gradient(fm, dn.uniform_density(2), np.full((rows, 2), 0.5))
-    grouped = rows >= 2 and 4 * rows <= flow.SWEEP_BLOCK_ROWS
-    assert [b["capacity"] for b in built] == [rows, 4 * rows if grouped else rows]
+    grouped = 4 * rows <= flow.SWEEP_BLOCK_ROWS
+    assert [b["capacity"] for b in built] == [tiled(rows), tiled(4 * rows if grouped else rows)]
 
 
 def test_adjoint_builds_buffers_once_per_batch_size(monkeypatch):
     # a smaller batch reuses the sets of a larger one; a larger one builds
-    # them anew, with room for its grouped stages
+    # them anew, with room for its grouped stages (batches of several tiles,
+    # since sets are laid out for whole tiles)
     built = counting_buffers(monkeypatch)
     fm = FlowMap(random_net(seed=10), dim=2, steps=4)
-    x = np.random.default_rng(11).uniform(0.1, 0.9, size=(9, 2))
-    first = log_density_with_gradient(fm, dn.uniform_density(2), x[:7])
-    second = log_density_with_gradient(fm, dn.uniform_density(2), x[:7])
+    x = np.random.default_rng(11).uniform(0.1, 0.9, size=(130, 2))
+    first = log_density_with_gradient(fm, dn.uniform_density(2), x[:70])
+    second = log_density_with_gradient(fm, dn.uniform_density(2), x[:70])
     assert len(built) == 2  # one value and one tangent set
     for got, want in zip(second, first):
         np.testing.assert_array_equal(got, want)
-    smaller = log_density_with_gradient(fm, dn.uniform_density(2), x[:5])
-    assert [b["capacity"] for b in built] == [7, 28]
+    smaller = log_density_with_gradient(fm, dn.uniform_density(2), x[:50])
+    assert [b["capacity"] for b in built] == [tiled(70), tiled(280)]
     fresh = FlowMap(random_net(seed=10), dim=2, steps=4)
-    for got, want in zip(smaller, log_density_with_gradient(fresh, dn.uniform_density(2), x[:5])):
+    for got, want in zip(smaller, log_density_with_gradient(fresh, dn.uniform_density(2), x[:50])):
         np.testing.assert_array_equal(got, want)
     del built[2:]  # the fresh field's
     log_density_with_gradient(fm, dn.uniform_density(2), x)
-    assert [b["capacity"] for b in built] == [7, 28, 9, 36]
+    assert [b["capacity"] for b in built] == [tiled(70), tiled(280), tiled(130), tiled(520)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +440,15 @@ def assert_log_density_gradient_matches_fd():
     assert np.max(np.abs(grad - fd)) / denom < 1e-5
 
 
+@pytest.mark.parametrize("width", [16, 17, 20, 32])
 @pytest.mark.parametrize("batch", [1, 2, 7, 64, 256, 257])
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
-def test_gradient_path_log_densities_are_bitwise_the_dense_ones(dim, batch):
+def test_gradient_path_log_densities_are_bitwise_the_dense_ones(dim, batch, width):
     # the gradient path reads its preimages from value-only evaluations and
     # its divergences from the tangent caches of its reverse sweep, which
-    # holds a step's four stages in one call of 4B rows at 2 <= B <= 256;
-    # the dense log-density reads both from one stacked evaluation per stage
-    fm = FlowMap(random_net(dim=dim, depth=2, width=16, seed=dim * batch), dim=dim, steps=4)
+    # holds a step's four stages in one call of 4B rows at B <= 256; the
+    # dense log-density reads both from one stacked evaluation per stage
+    fm = FlowMap(random_net(dim=dim, depth=2, width=width, seed=dim * batch), dim=dim, steps=4)
     src = dn.product_density([dn.linear_tilt(0.5, 1.0)] * dim)
     y = np.random.default_rng(batch).uniform(0.05, 0.95, size=(batch, dim))
     np.testing.assert_array_equal(log_density_with_gradient(fm, src, y)[0],

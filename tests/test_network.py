@@ -170,14 +170,15 @@ def test_a_stale_non_finite_value_of_a_larger_call_never_raises(tangents):
 
 
 def test_a_smaller_call_reuses_the_buffers_of_a_larger_one():
+    # 70 rows take two tiles, 3 rows one
     net = small_net(3, 2, 8, seed=27)
-    x = np.random.default_rng(28).uniform(size=(7, 3))
+    x = np.random.default_rng(28).uniform(size=(70, 3))
     net.value_jacobian_divergence(x, 0.2)
-    buffers = net._buffers(7, True)
+    buffers = net._buffers(70, True)
     for got, want in zip(net.value_jacobian_divergence(x[:3], 0.6),
                          net.clone().value_jacobian_divergence(x[:3], 0.6)):
         np.testing.assert_array_equal(got, want)
-    assert net._buffers(3, True) is buffers and buffers["capacity"] == 7
+    assert net._buffers(3, True) is buffers and buffers["capacity"] == 2 * net_mod.TILE_ROWS
 
 
 # ---------------------------------------------------------------------------
