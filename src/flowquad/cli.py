@@ -237,11 +237,19 @@ def _ensure_outdir(path):
 # ---------------------------------------------------------------------------
 
 
-def cmd_grid(spec, out_dir, print_fn=print):
-    source = _density_from_spec(spec.source, spec.dim)
+def _grids(spec, source):
+    """The spec's grids, weighted by the source density.  Every level's
+    size is checked before any grid is built, and a grid too large to
+    build is a configuration error."""
+    for level in spec.grid["levels"]:
+        _built("grid.levels", quad.tensor_rows, spec.dim, level)
     weights = [f.pdf for f in source.factors]
+    return [quad.smolyak(spec.dim, level, weights=weights) for level in spec.grid["levels"]]
+
+
+def cmd_grid(spec, out_dir, print_fn=print):
     # before any output, so a source density no rule can take leaves none
-    grids = [quad.smolyak(spec.dim, level, weights=weights) for level in spec.grid["levels"]]
+    grids = _grids(spec, _density_from_spec(spec.source, spec.dim))
     out_dir = _ensure_outdir(out_dir)
     print_fn(f"{'level':>5} {'nodes':>8} {'asymptotic':>12} {'file'}")
     files = []
@@ -276,8 +284,7 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
     qoi = an.make_qoi(spec.qoi["family"], spec.dim, spec.qoi.get("params"))
     reference = an.reference_expectation(target, qoi)
     # before any output or training, so a source density no rule can take fails first
-    weights = [f.pdf for f in source.factors]
-    grids = [quad.smolyak(spec.dim, level, weights=weights) for level in spec.grid["levels"]]
+    grids = _grids(spec, source)
     out_dir = _ensure_outdir(out_dir)
     seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(seed)
@@ -446,8 +453,11 @@ def cmd_report(results_path, csv_path=None, print_fn=print):
 def _parse_levels(text):
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            levels = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in text.split(".."))
+            # a level's grid is smallest at dim 1, so a range reaching past
+            # every grid that can be built is refused before it is listed
+            _built("--levels", quad.tensor_rows, 1, hi)
+            levels = list(range(lo, hi + 1))
         else:
             levels = [int(v) for v in text.split(",")]
     except ValueError:

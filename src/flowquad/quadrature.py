@@ -30,6 +30,7 @@ from .errors import EvaluationError, InvalidArgumentError, InvalidWeightError
 REFERENCE_POINTS = 129  # Gauss-Legendre points per axis of every dense reference
 _CHEB_MAX_DEGREE = 4096  # largest interpolant degree of a weight
 _CHEB_TOL = 1e-14  # tail coefficients of a resolved weight, relative to the largest
+MAX_TENSOR_ROWS = 2**22  # most tensor rows of a Smolyak grid; d = 6, level 8 has 1,317,499
 
 
 def _cos_pi_frac(num, den):
@@ -267,6 +268,29 @@ def _compositions(total, parts):
         yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
+def tensor_rows(dim, level):
+    """Tensor rows of smolyak(dim, level) before coincident nodes merge;
+    InvalidArgumentError above MAX_TENSOR_ROWS.
+
+    Counted with Python ints, without listing the terms.  A term's
+    multi-index is 1 + j with max(0, level - dim + 1) <= |j| <= level and
+    has prod growth(1 + j_i) rows; the j with m positive entries and
+    |j| = n have comb(dim, m) times the y**n coefficient of g(y)**m rows,
+    g(y) = sum over i >= 1 of growth(1 + i) y**i.
+    """
+    rows = MAX_TENSOR_ROWS + 1  # the term (level + 1, 1, ..., 1) alone has 2**level + 1
+    if level < MAX_TENSOR_ROWS.bit_length():
+        g = [0] + [growth(1 + i) for i in range(1, level + 1)]
+        power, rows = [1] + [0] * level, 0  # g(y)**m by degree, from m = 0
+        for m in range(min(dim, level) + 1):
+            rows += math.comb(dim, m) * sum(power[max(0, level - dim + 1) :])
+            power = [sum(power[i] * g[n - i] for i in range(n + 1)) for n in range(level + 1)]
+    if rows > MAX_TENSOR_ROWS:
+        raise InvalidArgumentError(f"a level-{level} grid at dim {dim} has more than "
+                                   f"{MAX_TENSOR_ROWS} tensor rows")
+    return rows
+
+
 def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     """Assemble the sparse grid of the given dimension and sparsity level.
 
@@ -274,6 +298,8 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     axis, or a sequence of d per-axis density callables.  Each axis solves
     its moments once; every level's weights come from a prefix of them.
 
+    A grid of more than MAX_TENSOR_ROWS tensor rows (see tensor_rows)
+    raises InvalidArgumentError before anything is built.
     Every node lies on the lattice cos(pi j / N)^d, N = max(2, 2**level).
     Tensor rows are found by index arithmetic and keyed by integers, so
     coincident nodes merge by exact comparison, their weights summed in
@@ -290,6 +316,7 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
         per_dim_weight = list(weights)
         if len(per_dim_weight) != dim:
             raise InvalidArgumentError(f"got {len(per_dim_weight)} axis weights for dim {dim}")
+    tensor_rows(dim, level)
 
     q = level + dim
     terms = [(MultiIndex(entries), (-1) ** (q - total) * math.comb(dim - 1, q - total))

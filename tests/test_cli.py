@@ -324,6 +324,31 @@ def test_report_command(tmp_path):
     assert os.path.exists(csv_out)
 
 
+@pytest.mark.parametrize("command, dim, levels, flag", [
+    ("grid", 1, [2], "40"),
+    ("grid", 1, [2], "70"),
+    ("run", 1, [70], None),
+    ("grid", 1, [2], "0..1000000000000"),
+    ("grid", 1000, [3], None),
+])
+def test_an_oversized_grid_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
+                                                     command, dim, levels, flag):
+    # each grid's tensor rows are counted before any grid is built, and a
+    # --levels range before it is listed
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on an oversized grid")
+
+    monkeypatch.setattr(cli, "train_erm", no_training)
+    payload = spec_payload(dim=dim, grid={"levels": levels},
+                           training={} if dim > 1 else spec_payload()["training"])
+    argv = [command, "--spec", write_spec(tmp_path, payload), "--out", str(tmp_path / "o")]
+    assert cli.main(argv + (["--levels", flag] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    assert "tensor rows" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_levels_flag_parsing():
     assert cli._parse_levels("0..3") == [0, 1, 2, 3]
     assert cli._parse_levels("1,4,6") == [1, 4, 6]

@@ -416,6 +416,24 @@ def test_smolyak_solves_each_axis_moments_once():
     assert len(calls) == dim * single
 
 
+@pytest.mark.parametrize("dim, level", [(1, 0), (1, 6), (2, 5), (3, 4), (6, 3), (20, 3),
+                                        (39, 1), (2, 11), (1500, 0)])
+def test_tensor_rows_counts_the_rows_of_every_term(dim, level):
+    terms = quad.smolyak(dim, level).combination_terms
+    rows = sum(math.prod(quad.growth(k) for k in mi.entries) for mi, _ in terms)
+    assert quad.tensor_rows(dim, level) == rows
+
+
+def test_a_grid_above_the_row_cap_raises_before_it_is_built(monkeypatch):
+    # d = 1 has one term of 2**level + 1 rows; d = 6, level 9 has 4,143,229
+    assert quad.tensor_rows(1, 21) == 2**21 + 1
+    assert quad.tensor_rows(6, 9) == 4_143_229 <= quad.MAX_TENSOR_ROWS
+    monkeypatch.setattr(quad, "_compositions", None)  # no term list is made
+    for dim, level in [(1, 22), (1, 70), (1, 10**12), (7, 9), (1000, 3)]:
+        with pytest.raises(InvalidArgumentError, match=f"level-{level} grid at dim {dim}"):
+            quad.smolyak(dim, level)
+
+
 def _integrals_of_chebyshev(n):
     """Integrals of T_0..T_{n-1} over [-1, 1]."""
     return np.array([2.0 / (1.0 - k * k) if k % 2 == 0 else 0.0 for k in range(n)])
