@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .densities import product_values
-from .errors import InvalidArgumentError, UnsupportedDimensionError
+from .errors import IntegrationFailureError, InvalidArgumentError, UnsupportedDimensionError
 from .flow import flow_forward, log_pushforward_density
 from .quadrature import REFERENCE_POINTS, kahan_sum, tensor_gauss
 
@@ -124,7 +124,12 @@ def _grid_densities(target, fm, source, points_per_axis):
 
 
 def _tv(wt, f_t, log_m):
-    return 0.5 * math.fsum(wt * np.abs(f_t - np.exp(log_m)))
+    with np.errstate(over="ignore"):
+        p_m = np.exp(log_m)
+    if not np.isfinite(p_m).all():
+        raise IntegrationFailureError(
+            f"model density overflows: log-density up to {np.max(log_m):.6g}")
+    return 0.5 * math.fsum(wt * np.abs(f_t - p_m))
 
 
 def _kl(wt, f_t, log_m):

@@ -29,10 +29,12 @@ from . import quadrature as quad
 from .densities import make_density_1d, product_density
 from .errors import (
     ConfigurationError,
+    DomainError,
     FlowQuadError,
     IntegrationFailureError,
     InvalidArgumentError,
     InvalidWeightError,
+    NumericalOverflowError,
     TrainingFailureError,
 )
 from .flow import FlowMap
@@ -300,15 +302,14 @@ def cmd_run(spec, out_dir, seed=None, threads=1, print_fn=print):
         save_checkpoint(fm, tmp)
 
     learning_available = spec.dim <= 2
-    if learning_available:
-        tv, kl = an.tv_kl_estimate(target, fm, source)
-    else:
-        tv, kl = math.nan, math.nan
-
-    oracle = an.pullback_integral_oracle(fm, qoi, source)
+    try:
+        tv, kl = an.tv_kl_estimate(target, fm, source) if learning_available else (math.nan,) * 2
+        oracle = an.pullback_integral_oracle(fm, qoi, source)
+        estimates = [an.integrate_via_flow(grid, fm, qoi) for grid in grids]
+    except (NumericalOverflowError, DomainError) as exc:  # the trained flow fails numerically
+        raise IntegrationFailureError(f"trained flow: {exc}") from None
     reports = []
-    for level, grid in zip(spec.grid["levels"], grids):
-        estimate = an.integrate_via_flow(grid, fm, qoi)
+    for level, grid, estimate in zip(spec.grid["levels"], grids, estimates):
         reports.append(
             an.ErrorReport(
                 total_error=an.total_error(reference, estimate),

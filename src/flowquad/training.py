@@ -183,7 +183,7 @@ def train_erm(config, samples, source):
                 vel = MOMENTUM * vel - lr * grad
                 net.theta[:] += vel
             net.project_theta()
-            epoch_gnorm = max(epoch_gnorm, float(np.linalg.norm(grad)))
+            epoch_gnorm = max(epoch_gnorm, math.hypot(*grad))  # no overflow of the squares
 
         with _failing_in(epoch):
             epoch_nll = full_nll(train)

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from hypothesis import strategies as st
 
 import flowquad
 from flowquad import cli
-from flowquad.errors import ConfigurationError, InvalidArgumentError
+from flowquad.errors import (ConfigurationError, DomainError, InvalidArgumentError,
+                             NumericalOverflowError)
 from flowquad.network import load_checkpoint
 from flowquad.quadrature import cc_nodes, cc_weights, growth, read_grid, smolyak
 
@@ -430,6 +434,37 @@ def test_exit_code_integration_failure(tmp_path, monkeypatch):
     assert cli.main(["run", "--spec", spec_file, "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("stage", ["tv_kl_estimate", "pullback_integral_oracle",
+                                   "integrate_via_flow"])
+@pytest.mark.parametrize("error", [NumericalOverflowError("non-finite activation in layer 1"),
+                                   DomainError("source density vanishes")])
+def test_a_numerical_failure_of_the_trained_flow_exits_4(tmp_path, monkeypatch, capsys,
+                                                         stage, error):
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.an, stage, boom)
+    spec_file = write_spec(tmp_path, spec_payload())
+    assert cli.main(["run", "--spec", spec_file, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == f"integration failure: trained flow: {error}\n"
+
+
+# 1e6 steps train a field whose pushforward density overflows on the TV grid
+_OVERFLOWING = spec_payload(
+    seed=1, target={"family": "uniform"}, grid={"levels": [0]},
+    training={"sample_size": 8, "batch_size": 4, "max_epochs": 1, "hidden_depth": 1,
+              "width": 3, "integrator_steps": 1, "learning_rate": 1e6},
+)
+
+
+def test_an_overflowing_model_density_exits_4_without_a_warning(tmp_path):
+    spec = write_spec(tmp_path, _OVERFLOWING)
+    proc = _python(["-m", "flowquad.cli", "run", "--spec", spec, "--out", "o"], tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("integration failure: model density overflows"), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cmd_run_accepts_only_one_thread(tmp_path, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
@@ -773,3 +808,55 @@ def test_fuzzed_results_line_exits_0_or_2(line):
         with open(path, "w") as fh:
             fh.write(json.dumps(line) + "\n")
         assert cli.main(["report", "--results", path]) in (0, 2)
+
+
+_DENSITIES = (
+    st.just({"family": "uniform"})
+    | st.builds(lambda a, b: {"family": "linear_tilt", "params": {"a": a, "b": b}},
+                st.floats(0, 2), st.floats(-2, 2))
+    | st.builds(lambda amp, freq: {"family": "cosine_bump", "params": {"amp": amp, "freq": freq}},
+                st.floats(0, 0.99), st.integers(1, 8))
+)
+
+
+@st.composite
+def _run_specs(draw):
+    """A small valid-typed `run` spec: 1-2 axes, a tiny network, a few
+    epochs, levels 0-3, and learning rates up to ones that diverge."""
+    dim = draw(st.integers(1, 2))
+    training = {"sample_size": draw(st.integers(8, 48)), "batch_size": draw(st.integers(4, 48)),
+                "max_epochs": draw(st.integers(1, 2)), "hidden_depth": draw(st.integers(1, 2)),
+                "width": draw(st.integers(dim + 1, 6)),
+                "integrator_steps": draw(st.integers(1, 4)),
+                "learning_rate": draw(st.sampled_from([0.02, 1.0, 1e6]))}
+    qoi = draw(st.sampled_from(["coordinate", "product", "cos_product", "abs_product",
+                                "constant"]))
+    return {"name": "fuzz", "dim": dim, "seed": draw(st.integers(0, 9)),
+            "source": draw(_DENSITIES), "target": draw(_DENSITIES), "qoi": {"family": qoi},
+            "grid": {"levels": draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))},
+            "training": training}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(payload=_run_specs())
+def test_fuzzed_run_exits_cleanly(payload):
+    # success, a configuration error, a training failure or an integration
+    # failure, each without a traceback or a warning; results are strict JSON
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec, out, err = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out"), io.StringIO()
+        with open(spec, "w") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--spec", spec, "--out", out])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            with open(os.path.join(out, "results.jsonl")) as fh:
+                lines = [json.loads(line, parse_constant=_no_constant) for line in fh]
+            assert len(lines) == len(payload["grid"]["levels"])
