@@ -148,19 +148,20 @@ def test_empty_batch_gives_empty_results(entry, shape, field):
     assert entry(fm, np.empty((0, 2))).shape == shape
 
 
-@pytest.mark.parametrize("width", [8, 17, 20])
-def test_blocked_sweeps_equal_one_block(monkeypatch, width):
-    fm = FlowMap(random_net(width=width, seed=8), dim=2, steps=4)
+def test_blocked_sweeps_equal_one_block(monkeypatch):
+    widths = (8, 17, 20)
+    fms = [FlowMap(random_net(width=width, seed=8), dim=2, steps=4) for width in widths]
     source = dn.product_density([dn.linear_tilt(0.5, 1.0), dn.cosine_bump(0.3)])
     x = np.random.default_rng(13).uniform(0.05, 0.95, size=(2 * flow.SWEEP_BLOCK_ROWS + 1, 2))
 
-    def sweeps():
+    def sweeps(fm):
         return flow_forward(fm, x), flow_inverse(fm, x), log_pushforward_density(fm, source, x)
 
-    blocked = sweeps()
+    blocked = [sweeps(fm) for fm in fms]
     monkeypatch.setattr(flow, "SWEEP_BLOCK_ROWS", len(x))
-    for got, want in zip(blocked, sweeps()):
-        np.testing.assert_array_equal(got, want)
+    for width, fm, got in zip(widths, fms, blocked):
+        for g, want in zip(got, sweeps(fm)):
+            np.testing.assert_array_equal(g, want, err_msg=f"width {width}")
 
 
 def tiled(rows):
@@ -440,19 +441,21 @@ def assert_log_density_gradient_matches_fd():
     assert np.max(np.abs(grad - fd)) / denom < 1e-5
 
 
-@pytest.mark.parametrize("width", [16, 17, 20, 32])
 @pytest.mark.parametrize("batch", [1, 2, 7, 64, 256, 257])
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
-def test_gradient_path_log_densities_are_bitwise_the_dense_ones(dim, batch, width):
+def test_gradient_path_log_densities_are_bitwise_the_dense_ones(dim, batch):
     # the gradient path reads its preimages from value-only evaluations and
     # its divergences from the tangent caches of its reverse sweep, which
     # holds a step's four stages in one call of 4B rows at B <= 256; the
     # dense log-density reads both from one stacked evaluation per stage
-    fm = FlowMap(random_net(dim=dim, depth=2, width=width, seed=dim * batch), dim=dim, steps=4)
     src = dn.product_density([dn.linear_tilt(0.5, 1.0)] * dim)
     y = np.random.default_rng(batch).uniform(0.05, 0.95, size=(batch, dim))
-    np.testing.assert_array_equal(log_density_with_gradient(fm, src, y)[0],
-                                  log_pushforward_density(fm, src, y))
+    for width in (16, 17, 20, 32):
+        net = random_net(dim=dim, depth=2, width=width, seed=dim * batch)
+        fm = FlowMap(net, dim=dim, steps=4)
+        np.testing.assert_array_equal(log_density_with_gradient(fm, src, y)[0],
+                                      log_pushforward_density(fm, src, y),
+                                      err_msg=f"width {width}")
 
 
 def test_gradient_batch_linearity():
