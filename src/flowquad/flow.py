@@ -8,10 +8,10 @@ integral; its parameter gradient differentiates the discrete RK4 map
 exactly (discretize-then-differentiate), so finite differences of the
 implemented map agree to rounding.
 
-The forward map, inverse and density run in row blocks of at most
-SWEEP_BLOCK_ROWS rows (_sweep).  The adjoint runs whole, since summing its
-gradient over blocks would reorder the sums.  A network field evaluates
-each row on its own (see network), so no block or batch changes a bit.
+Every sweep cuts its rows into blocks of k rows at offsets 0, k, 2k, ...:
+k = SWEEP_BLOCK_ROWS for the map, inverse and density, a quarter of it for
+the adjoint, whose four stages of a step then fill one block.  A network
+field evaluates each row on its own (see network), so no block changes a bit.
 """
 
 import dataclasses
@@ -144,14 +144,15 @@ def _rk4(rhs, y, steps, stages=None, excursion=False):
 
 
 def _sweep(fm, x, rhs, excursion=False):
-    """_rk4 of rhs from the rows of x, in near-equal row blocks of at most
-    SWEEP_BLOCK_ROWS rows.
+    """_rk4 of rhs from the rows of x, in blocks of SWEEP_BLOCK_ROWS rows at
+    offsets 0, SWEEP_BLOCK_ROWS, 2 * SWEEP_BLOCK_ROWS, ...; only the last
+    block is partial.
 
     Returns the concatenated states and divergence integrals and the
     largest excursion (0.0 unless asked for); a failure reports its step in
     the first failing block.
     """
-    blocks = np.array_split(x, max(1, -(-len(x) // SWEEP_BLOCK_ROWS)))
+    blocks = [x[lo : lo + SWEEP_BLOCK_ROWS] for lo in range(0, max(len(x), 1), SWEEP_BLOCK_ROWS)]
     y, acc, worst = zip(*(_rk4(rhs, b, fm.steps, excursion=excursion) for b in blocks))
     return np.concatenate(y), np.concatenate(acc), max(worst)
 
@@ -188,13 +189,13 @@ def _aug_rhs(fm, w, s):
     return -fm.field(w, t), fm.field.divergence(w, t)
 
 
-def _log_source(source, z0):
-    """Source log-density at the preimages z0; it must not vanish there."""
+def _log_source(source, z0, first=0):
+    """Source log-density at preimages z0 (samples first, ...), which must not vanish."""
     vals = source.evaluate(z0)
     if np.any(vals <= 0.0):
         bad = int(np.argmax(vals <= 0.0))
         raise DomainError(
-            f"source density vanishes at preimage {z0[bad]} (sample {bad})",
+            f"source density vanishes at preimage {z0[bad]} (sample {first + bad})",
             location=z0[bad],
         )
     return np.log(vals)
@@ -217,23 +218,29 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     weighted sum.
 
     The gradient is the exact reverse-mode derivative of the discrete RK4
-    computation, accumulated step by step with recomputed caches.  The
-    four stages of a step are recomputed in one call of 4B rows when they
-    fit in a sweep block (4B <= SWEEP_BLOCK_ROWS), and one at a time
-    otherwise.
+    computation, accumulated step by step with recomputed caches.  It runs
+    in blocks of SWEEP_BLOCK_ROWS // 4 rows (see the module docstring), and
+    sums the blocks' gradients in block order.
     Requires the field to expose forward_with_cache/vjp (a network field)
     and the source to expose grad_log_pdf.
     """
     if not hasattr(fm.field, "vjp"):
         raise InvalidArgumentError("gradient path needs a differentiable network field")
-    net = fm.field
     w, single = _as_batch(y, fm.dim)
-    batch = len(w)
     if sample_weights is None:
-        sample_weights = np.ones(batch)
-    c = np.asarray(sample_weights, dtype=float).reshape(batch, 1)
+        sample_weights = np.ones(len(w))
+    c = np.asarray(sample_weights, dtype=float).reshape(len(w), 1)
+    logp, grad = np.empty(len(w)), np.zeros_like(fm.field.theta)
+    for lo in range(0, len(w), SWEEP_BLOCK_ROWS // 4):
+        rows = slice(lo, lo + SWEEP_BLOCK_ROWS // 4)
+        logp[rows], g = _block_adjoint(fm, source, w[rows], c[rows], lo)
+        grad += g
+    return (float(logp[0]) if single else logp), grad
 
-    h = 1.0 / fm.steps
+
+def _block_adjoint(fm, source, w, c, first):
+    """log_density_with_gradient of one block w, whose rows start at sample `first`."""
+    net, batch, h = fm.field, len(w), 1.0 / fm.steps
     # the stage inputs of the value-only forward sweep: rows j*B .. (j+1)*B
     # of step n hold stage j, and `times` their times in the backward flow
     stages = np.empty((fm.steps, 4 * batch, fm.dim))
@@ -241,40 +248,31 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
               stages.reshape(4 * fm.steps, batch, fm.dim))[0]
     times = 1.0 - (np.arange(fm.steps)[:, None] * h + np.array([0.0, 0.5 * h, 0.5 * h, h]))
     times = np.repeat(times, batch, axis=1)
-    log_source = _log_source(source, z0)
-    # stages per recomputed cache
-    per_call = 4 if 4 * batch <= SWEEP_BLOCK_ROWS else 1
+    log_source = _log_source(source, z0, first)
 
     # reverse sweep: lam tracks the cotangent on the running position,
     # the divergence integral contributes a constant -c per sample.  Stage j
     # of a step weighs h * (1, 2, 2, 1)[j] / 6 into the update and feeds
     # stage j + 1 through (h/2, h/2, h)[j] times its slope
     lam = c * source.grad_log_pdf(z0)
-    lam_d = -c.ravel()
     weight = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
     feed = (0.5 * h, 0.5 * h, h)
-    lam_div = [wt * lam_d for wt in weight]
+    lam_div = [wt * -c.ravel() for wt in weight]
     grad = np.zeros_like(net.theta)
     divs = np.empty((fm.steps, 4 * batch))  # from the reverse sweep's tangent caches
-
+    gu = [None] * 4
     for n in range(fm.steps - 1, -1, -1):
-        gu = [None] * 4
+        # one cache of the step's four stages; stage 0's vjp returns their gradient
+        _, cache = net.forward_with_cache(stages[n], times[n], need_tangents=True)
+        divs[n] = cache["div"]
         for j in (3, 2, 1, 0):
-            if j % per_call == per_call - 1:  # the last stage of a cache: recompute it
-                rows = slice((j + 1 - per_call) * batch, (j + 1) * batch)
-                _, cache = net.forward_with_cache(stages[n, rows], times[n, rows],
-                                                  need_tangents=True)
-                divs[n, rows] = cache["div"]
             alpha = weight[j] * lam if j == 3 else weight[j] * lam + feed[j] * gu[j + 1]
-            g, gu[j] = net.vjp(cache, lam_v=-alpha, lam_div=lam_div[j], group=j % per_call)
-            if g is not None:
-                grad += g
+            g, gu[j] = net.vjp(cache, lam_v=-alpha, lam_div=lam_div[j], group=j)
+        grad += g
         lam = lam + gu[0] + gu[1] + gu[2] + gu[3]
 
     # the divergence integral in forward step order, summed as _rk4 sums it
     acc = np.zeros(batch)
     for d1, d2, d3, d4 in divs.reshape(fm.steps, 4, batch):
         acc = acc + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-    logp = log_source - acc
-
-    return (float(logp[0]) if single else logp), grad
+    return log_source - acc, grad

@@ -214,22 +214,21 @@ def test_rows_are_pushed_alike_in_any_batch(dim, width):
 @pytest.mark.parametrize("full_blocks, extra", [(0, 1), (0, 5), (2, 1)])
 def test_sweeps_build_one_workspace_per_block(monkeypatch, full_blocks, extra):
     # the network keeps one buffer set per tangent flag, which only grows:
-    # a sweep builds it for its first block, the largest (2,049 rows are
-    # blocks of 683 rows), and the adjoint for its batch, or for a step's
-    # four stages at once where they fit in one sweep block; each for its
-    # row count rounded up to whole tiles
+    # a sweep builds it for its first block, a full one where there are
+    # several, and the adjoint for its first block of at most 256 rows and
+    # for that block's four stages of a step at once; each for its row
+    # count rounded up to whole tiles
     rows = full_blocks * flow.SWEEP_BLOCK_ROWS + extra
-    blocks = -(-rows // flow.SWEEP_BLOCK_ROWS)
     built = counting_buffers(monkeypatch)
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     flow_forward(fm, np.full((rows, 2), 0.5))
     flow_forward(fm, np.full((rows, 2), 0.25))
-    assert [b["capacity"] for b in built] == [tiled(-(-rows // blocks))]
+    assert [b["capacity"] for b in built] == [tiled(min(rows, flow.SWEEP_BLOCK_ROWS))]
     built.clear()
     fm = FlowMap(random_net(seed=9), dim=2, steps=4)
     log_density_with_gradient(fm, dn.uniform_density(2), np.full((rows, 2), 0.5))
-    grouped = 4 * rows <= flow.SWEEP_BLOCK_ROWS
-    assert [b["capacity"] for b in built] == [tiled(rows), tiled(4 * rows if grouped else rows)]
+    block = min(rows, flow.SWEEP_BLOCK_ROWS // 4)
+    assert [b["capacity"] for b in built] == [tiled(block), tiled(4 * block)]
 
 
 def test_adjoint_builds_buffers_once_per_batch_size(monkeypatch):
@@ -414,9 +413,9 @@ def test_log_density_gradient_matches_fd():
     assert_log_density_gradient_matches_fd()
 
 
-def test_log_density_gradient_matches_fd_one_stage_per_call(monkeypatch):
-    # 8 rows do not fit in a sweep block of 4, so each stage is recomputed
-    # on its own
+def test_log_density_gradient_matches_fd_on_one_row_blocks(monkeypatch):
+    # a sweep block of 4 rows holds the four stages of one row, so the 2
+    # rows run as two blocks, whose gradients are summed
     monkeypatch.setattr(flow, "SWEEP_BLOCK_ROWS", 4)
     assert_log_density_gradient_matches_fd()
 
@@ -441,13 +440,14 @@ def assert_log_density_gradient_matches_fd():
     assert np.max(np.abs(grad - fd)) / denom < 1e-5
 
 
-@pytest.mark.parametrize("batch", [1, 2, 7, 64, 256, 257])
+@pytest.mark.parametrize("batch", [1, 2, 7, 64, 256, 257, 600, 1025])
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
 def test_gradient_path_log_densities_are_bitwise_the_dense_ones(dim, batch):
     # the gradient path reads its preimages from value-only evaluations and
     # its divergences from the tangent caches of its reverse sweep, which
-    # holds a step's four stages in one call of 4B rows at B <= 256; the
-    # dense log-density reads both from one stacked evaluation per stage
+    # holds a step's four stages of a block of at most 256 rows in one
+    # call; the dense log-density reads both from one stacked evaluation
+    # per stage, in blocks of 1,024 rows
     src = dn.product_density([dn.linear_tilt(0.5, 1.0)] * dim)
     y = np.random.default_rng(batch).uniform(0.05, 0.95, size=(batch, dim))
     for width in (16, 17, 20, 32):
@@ -456,6 +456,35 @@ def test_gradient_path_log_densities_are_bitwise_the_dense_ones(dim, batch):
         np.testing.assert_array_equal(log_density_with_gradient(fm, src, y)[0],
                                       log_pushforward_density(fm, src, y),
                                       err_msg=f"width {width}")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6])
+def test_adjoint_gradient_is_the_block_ordered_sum_of_its_blocks(monkeypatch, dim):
+    # a batch runs in blocks of 256 rows at offsets 0, 256, ...; its
+    # log-densities are the blocks' and its gradient their sum in block
+    # order, bit for bit, and no buffer set is built above one sweep block
+    built = counting_buffers(monkeypatch)
+    fm = FlowMap(random_net(dim=dim, depth=2, width=16, seed=dim), dim=dim, steps=2)
+    src = dn.product_density([dn.linear_tilt(0.5, 1.0)] * dim)
+    rng = np.random.default_rng(dim)
+    y = rng.uniform(0.05, 0.95, size=(2 * flow.SWEEP_BLOCK_ROWS + 1, dim))
+    c = rng.uniform(-1.0, 1.0, size=len(y))
+    block = flow.SWEEP_BLOCK_ROWS // 4
+    for batch in (257, 600, 1025):
+        logp, grad = log_density_with_gradient(fm, src, y[:batch], c[:batch])
+        parts = [log_density_with_gradient(fm, src, y[lo:batch][:block], c[lo:batch][:block])
+                 for lo in range(0, batch, block)]
+        np.testing.assert_array_equal(logp, np.concatenate([p for p, _ in parts]))
+        np.testing.assert_array_equal(grad, sum(g for _, g in parts))
+    log_density_with_gradient(fm, src, y, c)
+    assert max(b["capacity"] for b in built) == flow.SWEEP_BLOCK_ROWS
+
+
+def test_an_empty_batch_gives_no_log_densities_and_a_zero_gradient():
+    fm = FlowMap(random_net(seed=7), dim=2, steps=4)
+    logp, grad = log_density_with_gradient(fm, dn.uniform_density(2), np.empty((0, 2)))
+    assert logp.shape == (0,)
+    np.testing.assert_array_equal(grad, np.zeros_like(fm.field.theta))
 
 
 def test_gradient_batch_linearity():
