@@ -31,6 +31,9 @@ REFERENCE_POINTS = 129  # Gauss-Legendre points per axis of every dense referenc
 _CHEB_MAX_DEGREE = 4096  # largest interpolant degree of a weight
 _CHEB_TOL = 1e-14  # tail coefficients of a resolved weight, relative to the largest
 MAX_TENSOR_ROWS = 2**22  # most tensor rows of a Smolyak grid; d = 6, level 8 has 1,317,499
+# most tensor rows x dim, the size of its term list and its nodes; d = 3,000,
+# level 1 has 27,003,000 and d = 6, level 9 has 24,859,374
+MAX_TENSOR_ENTRIES = 2**25
 
 
 def _cos_pi_frac(num, den):
@@ -270,7 +273,8 @@ def _compositions(total, parts):
 
 def tensor_rows(dim, level):
     """Tensor rows of smolyak(dim, level) before coincident nodes merge;
-    InvalidArgumentError above MAX_TENSOR_ROWS.
+    InvalidArgumentError above MAX_TENSOR_ROWS, or above MAX_TENSOR_ENTRIES
+    rows x dim.
 
     Counted with Python ints, without listing the terms.  A term's
     multi-index is 1 + j with max(0, level - dim + 1) <= |j| <= level and
@@ -288,6 +292,9 @@ def tensor_rows(dim, level):
     if rows > MAX_TENSOR_ROWS:
         raise InvalidArgumentError(f"a level-{level} grid at dim {dim} has more than "
                                    f"{MAX_TENSOR_ROWS} tensor rows")
+    if rows * dim > MAX_TENSOR_ENTRIES:
+        raise InvalidArgumentError(f"a level-{level} grid at dim {dim} has {rows} tensor rows, "
+                                   f"more than {MAX_TENSOR_ENTRIES} coordinates in all")
     return rows
 
 
@@ -298,8 +305,9 @@ def smolyak(dim, level, weights=None, domain=(0.0, 1.0)):
     axis, or a sequence of d per-axis density callables.  Each axis solves
     its moments once; every level's weights come from a prefix of them.
 
-    A grid of more than MAX_TENSOR_ROWS tensor rows (see tensor_rows)
-    raises InvalidArgumentError before anything is built.
+    A grid of more than MAX_TENSOR_ROWS tensor rows, or MAX_TENSOR_ENTRIES
+    rows x dim (see tensor_rows), raises InvalidArgumentError before
+    anything is built.
     Every node lies on the lattice cos(pi j / N)^d, N = max(2, 2**level).
     Tensor rows are found by index arithmetic and keyed by integers, so
     coincident nodes merge by exact comparison, their weights summed in

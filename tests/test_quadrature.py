@@ -428,8 +428,10 @@ def test_a_grid_above_the_row_cap_raises_before_it_is_built(monkeypatch):
     # d = 1 has one term of 2**level + 1 rows; d = 6, level 9 has 4,143,229
     assert quad.tensor_rows(1, 21) == 2**21 + 1
     assert quad.tensor_rows(6, 9) == 4_143_229 <= quad.MAX_TENSOR_ROWS
+    # the rows x dim cap: d = 3,000, level 1 has 9,001 rows, and d = 20,000 has 60,001
+    assert quad.tensor_rows(3000, 1) * 3000 == 27_003_000 <= quad.MAX_TENSOR_ENTRIES
     monkeypatch.setattr(quad, "_compositions", None)  # no term list is made
-    for dim, level in [(1, 22), (1, 70), (1, 10**12), (7, 9), (1000, 3)]:
+    for dim, level in [(1, 22), (1, 70), (1, 10**12), (7, 9), (1000, 3), (20000, 1)]:
         with pytest.raises(InvalidArgumentError, match=f"level-{level} grid at dim {dim}"):
             quad.smolyak(dim, level)
 
