@@ -81,6 +81,7 @@ _SCHEMA.update(
     (f"training.{f.name}", (f.type, CONFIG_BOUNDS.get(f.name), False))
     for f in dataclasses.fields(TrainConfig) if f.name != "seed"
 )
+MAX_PARAMETERS = 2**22  # most parameters of the network a spec asks for
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", dict: "an object", list: "a list"}
 
@@ -186,7 +187,15 @@ def parse_spec(payload):
             f"'training.width' must be >= {dim + 1}, got {training['width']}",
             field="training.width",
         )
-    _built("training", _train_config, training, seed)
+    config = _built("training", _train_config, training, seed)
+    if not config.adaptive:  # counted before any layer exists: widths (d+1, W, ..., W, d)
+        width, depth = config.width, config.hidden_depth
+        params = (dim + 2) * width + (depth - 1) * (width + 1) * width + (width + 1) * dim
+        if params > MAX_PARAMETERS:
+            raise ConfigurationError(
+                f"'training.width': a network of width {width} and hidden depth {depth} at "
+                f"dim {dim} has {params} parameters, more than {MAX_PARAMETERS}",
+                field="training.width")
     return ExperimentSpec(
         name=name, dim=dim, seed=seed, source=dict(payload["source"]),
         target=dict(payload["target"]), qoi=dict(payload["qoi"]),

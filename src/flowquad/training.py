@@ -27,9 +27,11 @@ from .flow import FlowMap, log_density_with_gradient, log_pushforward_density
 from .network import MlpVectorField, hypothesis_architecture
 
 # (low, high) bounds of TrainConfig fields, low <= value < high (high None:
-# no cap); the spec schema in cli reads the same table
-CONFIG_BOUNDS = {"sample_size": (1, None), "batch_size": (1, None), "max_epochs": (1, None),
-                 "hidden_depth": (1, None), "integrator_steps": (1, None),
+# no cap); the spec schema in cli reads the same table.  At most 2**22
+# samples and 4,096 steps: the adjoint's stage store then holds at most
+# 4,096 x 1,024 x d floats (32 MB per axis)
+CONFIG_BOUNDS = {"sample_size": (1, 2**22 + 1), "batch_size": (1, None), "max_epochs": (1, None),
+                 "hidden_depth": (1, None), "integrator_steps": (1, 4097),
                  "holdout_fraction": (0, 1)}
 LR_DECAY = 0.995  # learning rate factor per epoch
 MOMENTUM = 0.9  # velocity factor of the momentum optimizer

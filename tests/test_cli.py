@@ -334,6 +334,7 @@ def test_report_command(tmp_path):
     ("run", 1, [70], None),
     ("grid", 1, [2], "0..1000000000000"),
     ("grid", 1000, [3], None),
+    ("grid", 20000, [1], None),  # 60,001 rows of 20,000 coordinates each
 ])
 def test_an_oversized_grid_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
                                                      command, dim, levels, flag):
@@ -350,6 +351,34 @@ def test_an_oversized_grid_exits_2_before_any_output(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1, err
     assert "tensor rows" in err
+    assert not (tmp_path / "o").exists()
+
+
+# asks Python to raise MemoryError, not the machine to run out of memory,
+# should a spec get past its bounds
+_LIMITED_MAIN = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+from flowquad import cli
+sys.exit(cli.main(sys.argv[1:]))"""
+
+
+@pytest.mark.parametrize("training, where", [
+    pytest.param({"sample_size": 2_000_000_000}, "training.sample_size", id="sample_size"),
+    pytest.param({"width": 100_000_000, "hidden_depth": 1}, "training.width", id="width"),
+    pytest.param({"width": 4, "hidden_depth": 100_000_000}, "training.width", id="hidden_depth"),
+    pytest.param({"integrator_steps": 100_000_000}, "training.integrator_steps",
+                 id="integrator_steps"),
+])
+def test_a_spec_too_large_to_train_exits_2_before_any_output(tmp_path, training, where):
+    # each spec asked for more memory than a machine has, and raised
+    # MemoryError with --out already made; the bounds on sample_size,
+    # integrator_steps and the network's parameter count refuse it first
+    payload = spec_payload(training={**spec_payload()["training"], **training})
+    done = _python(["-c", _LIMITED_MAIN, "run", "--spec", write_spec(tmp_path, payload),
+                    "--out", "o"], tmp_path, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"configuration error: '{where}'"), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
     assert not (tmp_path / "o").exists()
 
 
