@@ -218,9 +218,9 @@ def log_density_with_gradient(fm, source, y, sample_weights=None):
     weighted sum.
 
     The gradient is the exact reverse-mode derivative of the discrete RK4
-    computation, accumulated step by step with recomputed caches.  It runs
-    in blocks of SWEEP_BLOCK_ROWS // 4 rows (see the module docstring), and
-    sums the blocks' gradients in block order.
+    computation, accumulated step by step with recomputed caches.  The batch
+    runs in blocks of SWEEP_BLOCK_ROWS // 4 rows (see the module docstring),
+    and the gradient is the blocks' gradients summed in block order.
     Requires the field to expose forward_with_cache/vjp (a network field)
     and the source to expose grad_log_pdf.
     """

@@ -22,7 +22,7 @@ the same bits in any batch.  Padding rows repeat the last row, so the one
 finite check of the pre-activations (one flat buffer) gives the real
 rows' verdict.  Only value_jacobian_divergence assembles the d x d
 Jacobian.  The adjoint recomputes forward caches instead of keeping them,
-up to the four stages of an RK4 step in one cache of stacked row groups:
+the four stages of an RK4 step in one cache of stacked row groups:
 vjp runs the reverse pass of one group down to the input, and forms the
 parameter gradient of all groups with one product per layer once the
 last group is done.
